@@ -41,12 +41,29 @@ def _profit_case(rng, n, cmax):
     target = max(1, sum(r) // 3)
     return cost, r, budget, target
 
+
 def _kc_case(rng, n):
     q = 64
     r = sorted(rng.randint(1, 40) for _ in range(n))
     X = 16
     a = [rng.randint(0, X) for _ in range(n)]
     return r, a, X, q
+
+
+def _row(name, n, args, compiled, repeat):
+    """Time one kernel on both backends and return its table row.
+
+    Raises when the backends disagree; a plain assert would let
+    ``python -O`` skip the check.
+    """
+    py_res, py_t = _timed(getattr(_kernels_py, name), *args, repeat=repeat)
+    line = "%-18s %8d %12.4f" % (name, n, py_t)
+    if compiled is not None:
+        c_res, c_t = _timed(getattr(compiled, name), *args, repeat=repeat)
+        if c_res != py_res:
+            raise RuntimeError("backend mismatch on %s at n=%d" % (name, n))
+        line += " %12.4f %7.1fx" % (c_t, py_t / c_t if c_t else 0.0)
+    return line
 
 
 def main():
@@ -62,40 +79,14 @@ def main():
     print("%-18s %8s %12s %12s %8s" % ("kernel", "n", "python", "compiled",
                                        "speedup"))
     for n in (50, 200, 800):
-        r, obj, need = _cover_case(rng, n, 200)
-        py_res, py_t = _timed(_kernels_py.min_cover_solve, r, obj, need,
-                              repeat=args.repeat)
-        line = "%-18s %8d %12.4f" % ("min_cover_solve", n, py_t)
-        if compiled is not None:
-            c_res, c_t = _timed(compiled.min_cover_solve, r, obj, need,
-                                repeat=args.repeat)
-            assert c_res == py_res, "backend mismatch on min_cover_solve"
-            line += " %12.4f %7.1fx" % (c_t, py_t / c_t if c_t else 0.0)
-        print(line)
-
+        print(_row("min_cover_solve", n, _cover_case(rng, n, 200), compiled,
+                   args.repeat))
     for n in (50, 200, 800):
-        cost, r, budget, target = _profit_case(rng, n, 80)
-        py_res, py_t = _timed(_kernels_py.max_profit_solve, cost, r, budget,
-                              target, repeat=args.repeat)
-        line = "%-18s %8d %12.4f" % ("max_profit_solve", n, py_t)
-        if compiled is not None:
-            c_res, c_t = _timed(compiled.max_profit_solve, cost, r, budget,
-                                target, repeat=args.repeat)
-            assert c_res == py_res, "backend mismatch on max_profit_solve"
-            line += " %12.4f %7.1fx" % (c_t, py_t / c_t if c_t else 0.0)
-        print(line)
-
+        print(_row("max_profit_solve", n, _profit_case(rng, n, 80), compiled,
+                   args.repeat))
     for n in (12, 16, 20):
-        r, a, X, q = _kc_case(rng, n)
-        py_res, py_t = _timed(_kernels_py.kc_best_subset, r, a, X, q,
-                              repeat=args.repeat)
-        line = "%-18s %8d %12.4f" % ("kc_best_subset", n, py_t)
-        if compiled is not None:
-            c_res, c_t = _timed(compiled.kc_best_subset, r, a, X, q,
-                                repeat=args.repeat)
-            assert c_res == py_res, "backend mismatch on kc_best_subset"
-            line += " %12.4f %7.1fx" % (c_t, py_t / c_t if c_t else 0.0)
-        print(line)
+        print(_row("kc_best_subset", n, _kc_case(rng, n), compiled,
+                   args.repeat))
 
 
 if __name__ == "__main__":

@@ -14,7 +14,7 @@ import sys
 import time
 from fractions import Fraction
 
-from . import cutloop, gaplab, knapdp, sep
+from . import cutloop, gaplab, knapdp
 from .core import (
     BudgetExceededError,
     KnapsackError,
@@ -135,31 +135,16 @@ def _cmd_solve(args):
 def _cmd_separate(args):
     _, inst = _load(args.file)
     x = _parse_point(args.point, inst)
-    families = _parse_families(args.families)
-    mode = "fptas" if args.mode == "approx" else "exact"
-    certified_point = None
-    if "kc" in families:
-        hit = sep.separate_kc(inst, x)
-        if hit is not None:
-            print(format_cut(hit.cut, inst))
-            return 3
-    if "p12" in families:
-        result = sep.separate_pitch12(inst, x, eps=args.eps, mode=mode,
-                                      budget=args.dp_budget)
-        if isinstance(result, sep.Violated):
-            print(format_cut(result.cut, inst))
-            return 3
-        certified_point = result.ybar
-    if "fixed-support" in families:
-        support = tuple(i for i in range(inst.n) if x[i] > 0)
-        if support:
-            result = sep.separate_fixed_support(inst, x, support,
-                                                budget=args.dp_budget)
-            if result.violated:
-                print(format_cut(result.as_cut(), inst))
-                return 3
-    if certified_point is not None:
-        print("certified %s" % _point_text(inst, certified_point))
+    config = cutloop.LoopConfig(
+        families=frozenset(_parse_families(args.families)), eps=args.eps,
+        mode="fptas" if args.mode == "approx" else "exact",
+        budget=args.dp_budget)
+    cut, certified = cutloop._find_cut(inst, x, config)
+    if cut is not None:
+        print(format_cut(cut, inst))
+        return 3
+    if certified is not None:
+        print("certified %s" % _point_text(inst, certified.ybar))
     else:
         print("no-cut-found")
     return 0
@@ -176,20 +161,15 @@ def _cmd_cutplane(args):
     start = time.perf_counter()
     report = cutloop.run(inst, config, instance_id=args.file)
     ms = int(round((time.perf_counter() - start) * 1000))
-    counts = report.cut_counts
-    p12 = sum(counts.get(f, 0)
-              for f in ("pitch1", "pitch2-canonical", "knapsack-row"))
-    print("int-opt %s" % report.int_opt)
-    print("lp %s" % report.final_lp)
-    print("gap %s (%s)" % (report.gap, gaplab._twelve_digits(report.gap)))
-    print("reason %s" % report.reason)
+    row = gaplab._row_from_report(
+        args.file, inst.n, "families=%s" % "+".join(families), report, ms)
+    print("int-opt %s" % row.int_opt)
+    print("lp %s" % row.lp_value)
+    print("gap %s (%s)" % (row.gap, row.gap_decimal))
+    print("reason %s" % row.reason)
     print("iterations %d" % report.iterations)
-    print("cuts kc=%d p12=%d fs=%d"
-          % (counts.get("kc", 0), p12, counts.get("fixed-support", 0)))
+    print("cuts kc=%d p12=%d fs=%d" % (row.cuts_kc, row.cuts_p12, row.cuts_fs))
     if args.report:
-        row = gaplab._row_from_report(
-            args.file, inst.n, "families=%s" % "+".join(families), report,
-            ms)
         with open(args.report, "w", encoding="utf-8", newline="") as handle:
             gaplab.write_gap_table([row], handle)
     return 0

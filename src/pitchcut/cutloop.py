@@ -1,11 +1,13 @@
 """Cutting-plane driver and the knapsack-cover rounding step.
 
-run() repeatedly solves the LP relaxation, asks the enabled separators
-for a violated cut in a fixed priority order (knapsack-cover first,
-then the pitch oracle, then fixed-support), adds the single cut the
-first successful separator reports, and stops when nobody finds one or
-the iteration cap is hit.  The report records the whole LP value
-trajectory so integrality-gap experiments can quote any prefix of it.
+run() is row generation through ratlp.solve_lp.  The master LP is the
+[0,1] box plus the knapsack row; at each optimum the row callback asks
+the enabled separators for a violated cut in a fixed priority order
+(knapsack-cover first, then the pitch oracle, then fixed-support) and
+returns the single cut the first successful separator reports as the
+next row.  The loop stops when nobody finds one or the iteration cap
+is hit.  The report records the whole LP value trajectory so
+integrality-gap experiments can quote any prefix of it.
 
 round_kc turns a fractional point into an integral cover: take the
 coordinates at 1/2 or above, then close the remaining deficit with a
@@ -167,20 +169,6 @@ class GapReport:
     iterations: int
 
 
-def _solve_master(inst, pool):
-    model = ratlp.LPModel()
-    for i in range(inst.n):
-        model.add_var(lb=0, ub=1, obj=inst.costs[i])
-    row = natural_row(inst)
-    model.add_row(dict(row.terms), ">=", row.rhs)
-    for cut in pool:
-        model.add_row(dict(cut.terms), ">=", cut.rhs)
-    solution = ratlp.solve_lp(model)
-    # costs are positive and the box is compact, so only optimal happens
-    assert solution.status == "optimal"
-    return solution
-
-
 def _fs_supports(inst, xstar, trigger):
     supports = []
     if trigger in ("support", "both"):
@@ -191,8 +179,13 @@ def _fs_supports(inst, xstar, trigger):
 
 
 def _find_cut(inst, xstar, config):
-    """First violated cut in priority order, or (None, certified)."""
-    certified = False
+    """First violated cut in priority order, as (cut, certified).
+
+    cut is None when no enabled separator finds one; certified is the
+    pitch oracle's Certified answer when it ran and found nothing, else
+    None.
+    """
+    certified = None
     if "kc" in config.families:
         hit = sep.separate_kc(inst, xstar, mode=config.kc_mode)
         if hit is not None:
@@ -202,7 +195,7 @@ def _find_cut(inst, xstar, config):
                                       mode=config.mode, budget=config.budget)
         if isinstance(result, sep.Violated):
             return result.cut, certified
-        certified = True
+        certified = result
     if "fixed-support" in config.families:
         for I in _fs_supports(inst, xstar, config.fs_trigger):
             result = sep.separate_fixed_support(
@@ -226,24 +219,34 @@ def run(inst, config, instance_id=""):
         instance_id = "n%d" % inst.n
     int_opt = knapdp.solve_exact(inst, inst.costs, budget=config.budget).value
     pool = CutPool(inst, check=config.check_cuts, budget=config.budget)
+    model = ratlp.LPModel()
+    for i in range(inst.n):
+        model.add_var(lb=0, ub=1, obj=inst.costs[i])
+    row = natural_row(inst)
+    model.add_row(dict(row.terms), ">=", row.rhs)
     values = []
     reason = None
-    while True:
-        solution = _solve_master(inst, pool)
+
+    def next_cut(solution):
+        nonlocal reason
         values.append(solution.objective)
         if len(values) > 1:
             assert values[-1] >= values[-2]
         if len(values) > config.max_iter:
             reason = "max-iter"
-            break
+            return None
         cut, certified = _find_cut(inst, solution.primal, config)
         if cut is None:
-            reason = "certified" if ("p12" in config.families and certified) \
-                else "no-cut-found"
-            break
+            reason = "no-cut-found" if certified is None else "certified"
+            return None
         added = pool.add(cut)
         # a cut violated at the current optimum cannot already be a row
         assert added
+        return [(dict(cut.terms), ">=", cut.rhs)]
+
+    solution = ratlp.solve_lp(model, next_cut)
+    # costs are positive and the box is compact, so only optimal happens
+    assert solution.status == "optimal"
 
     final = values[-1]
     gap = int_opt / final

@@ -4,8 +4,11 @@ Small and deliberate.  All arithmetic is Fraction, so there are no
 tolerances anywhere; optimality, feasibility and duality are checked
 exactly by assertions on every optimal solve.  Variable bounds are kept
 out of the row system (nonbasic variables sit at a finite lower or a
-finite upper bound), rows get one slack each, and infeasibility is
-detected by a phase-1 with artificial columns.
+finite upper bound) and rows get one slack each.  The start point is
+the all-upper-bounds point when it satisfies every row, else the
+all-lower-bounds point; only rows that the start point violates get an
+artificial column, and phase 1 runs only when there is one, so
+infeasibility is detected there.
 """
 
 from __future__ import annotations
@@ -69,11 +72,16 @@ class _Tableau:
 
     Columns are structural variables, then one slack per row (sign -1
     for >= rows so slacks keep bounds [0, inf)), then one artificial per
-    row.  Artificials carry the phase-1 objective and are frozen to
-    [0, 0] afterwards.
+    row that the start point violates, in row order.  Nonbasic
+    structurals start at their upper bounds when that point satisfies
+    every row (see _upper_point_feasible), else at their lower bounds.
+    A row whose slack fits its bounds at the start point starts with
+    the slack basic, any other row with its artificial basic.
+    Artificials carry the phase-1 objective and are frozen to [0, 0]
+    afterwards.
     """
 
-    def __init__(self, model, start="phase1"):
+    def __init__(self, model):
         m = len(model.rows)
         nv = model.n_vars
         self.m = m
@@ -87,64 +95,47 @@ class _Tableau:
         self.slack_sign = []
         for _, sense, _ in model.rows:
             self.slack_sign.append(-1 if sense == ">=" else 1)
-            if sense == "=":
-                self.lower.append(Fraction(0))
-                self.upper.append(Fraction(0))
-            else:
-                self.lower.append(Fraction(0))
-                self.upper.append(None)
+            self.lower.append(Fraction(0))
+            self.upper.append(Fraction(0) if sense == "=" else None)
 
-        if start == "upper":
-            # caller certified the all-upper-bounds point: slack basis,
-            # no artificial columns, no phase 1
-            self.ncols = nv + m
-            self.T = []
-            self.basis = []
-            self.xval = [self.upper[j] for j in range(nv)]
-            self.xval.extend([Fraction(0)] * m)
-            for i, (coefficients, sense, rhs) in enumerate(model.rows):
-                row = [Fraction(0)] * self.ncols
-                for j, w in coefficients.items():
-                    row[j] = w
-                row[nv + i] = Fraction(self.slack_sign[i])
-                lhs = sum(
-                    w * self.xval[j] for j, w in coefficients.items()
-                )
-                slack = (rhs - lhs) * self.slack_sign[i]
-                assert slack >= 0, "upper start handed an infeasible row"
-                if self.slack_sign[i] < 0:
-                    row = [-w for w in row]
-                self.T.append(row)
-                self.basis.append(nv + i)
-                self.xval[nv + i] = slack
-            return
+        start = self.upper if _upper_point_feasible(model) else self.lower
+        self.xval = start[:nv] + [Fraction(0)] * m
+        residuals = []
+        fits = []
+        for i, (coefficients, sense, rhs) in enumerate(model.rows):
+            residual = rhs - sum(
+                w * self.xval[j] for j, w in coefficients.items()
+            )
+            slack = residual * self.slack_sign[i]
+            residuals.append(residual)
+            fits.append(slack == 0 if sense == "=" else slack >= 0)
+        n_art = fits.count(False)
+        self.ncols = nv + m + n_art
+        self.lower.extend([Fraction(0)] * n_art)
+        self.upper.extend([None] * n_art)
+        self.xval.extend([Fraction(0)] * n_art)
 
-        # artificials
-        self.lower.extend([Fraction(0)] * m)
-        self.upper.extend([None] * m)
-        self.ncols = nv + 2 * m
-
-        # dense row system A x = b over all columns
+        # dense row system A x = b over all columns, each row scaled so
+        # that its basic column has coefficient +1
         self.T = []
         self.basis = []
-        self.xval = [self.lower[j] for j in range(self.ncols)]
-        for i, (coefficients, sense, rhs) in enumerate(model.rows):
+        artificial = nv + m
+        for i, (coefficients, _, _) in enumerate(model.rows):
             row = [Fraction(0)] * self.ncols
             for j, w in coefficients.items():
                 row[j] = w
             row[nv + i] = Fraction(self.slack_sign[i])
-            residual = rhs - sum(
-                row[j] * self.xval[j] for j in range(nv + m) if row[j]
-            )
-            sign = -1 if residual < 0 else 1
-            row[nv + m + i] = Fraction(sign)
+            if fits[i]:
+                basic, sign = nv + i, self.slack_sign[i]
+            else:
+                basic, sign = artificial, -1 if residuals[i] < 0 else 1
+                row[basic] = Fraction(sign)
+                artificial += 1
             if sign < 0:
                 row = [-w for w in row]
-                rhs = -rhs
-                residual = -residual
             self.T.append(row)
-            self.basis.append(nv + m + i)
-            self.xval[nv + m + i] = residual
+            self.basis.append(basic)
+            self.xval[basic] = residuals[i] * sign
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
@@ -336,17 +327,15 @@ def _upper_point_feasible(model):
 
 
 def _solve_once(model):
-    if _upper_point_feasible(model):
-        tab = _Tableau(model, start="upper")
-    else:
-        tab = _Tableau(model)
-        m = tab.m
+    tab = _Tableau(model)
+    artificials = range(tab.nv + tab.m, tab.ncols)
+    if artificials:
         phase1 = [Fraction(0)] * tab.ncols
-        for j in range(tab.nv + m, tab.ncols):
+        for j in artificials:
             phase1[j] = Fraction(1)
         status = tab.run(phase1)
         assert status == "optimal", "phase 1 is bounded below by zero"
-        if sum(tab.xval[j] for j in range(tab.nv + m, tab.ncols)) > 0:
+        if sum(tab.xval[j] for j in artificials) > 0:
             return LPSolution(
                 status="infeasible", primal=None, objective=None, duals=None
             )

@@ -64,6 +64,14 @@ class FixedSupportResult(NamedTuple):
         return make_inequality(coefficients, Fraction(1), "fixed-support")
 
 
+def _pitch1_cut(inst, members):
+    """The pitch-1 cut sum x_i >= 1 over the positive-profit members."""
+    return make_inequality(
+        {i: Fraction(1) for i in members if inst.profits[i] > 0},
+        Fraction(1), "pitch1"
+    )
+
+
 def _line2_cut(inst, chosen):
     """Cut induced by a subproblem solution I with objective value < 2.
 
@@ -81,10 +89,7 @@ def _line2_cut(inst, chosen):
     I1 = [i for i in chosen if inst.profits[i] < betaI]
     if len(chosen) >= 2 and I1:
         return pitch2_canonical(inst, chosen)
-    support = [i for i in chosen if inst.profits[i] > 0]
-    return make_inequality(
-        {i: Fraction(1) for i in support}, Fraction(1), "pitch1"
-    )
+    return _pitch1_cut(inst, chosen)
 
 
 def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
@@ -139,10 +144,7 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
 
     sol = subproblem(Fraction(1, inst.q))
     if sol.value < 2:
-        support = [i for i in sol.chosen if inst.profits[i] > 0]
-        cut = make_inequality(
-            {i: Fraction(1) for i in support}, Fraction(1), "pitch1"
-        )
+        cut = _pitch1_cut(inst, sol.chosen)
         gap = cut.violation(x)
         assert gap > 0
         return Violated(cut=cut, family="pitch1", violation=gap)
@@ -299,12 +301,8 @@ def enumerate_pitch1(inst):
         low = rest & -rest
         if low and sums[mask] + weights[low.bit_length() - 1] < inst.q:
             continue
-        support = [positive[k] for k in range(m) if not (mask >> k) & 1]
-        out.append(
-            make_inequality(
-                {i: Fraction(1) for i in support}, Fraction(1), "pitch1"
-            )
-        )
+        out.append(_pitch1_cut(
+            inst, [positive[k] for k in range(m) if not (mask >> k) & 1]))
     out.sort(key=lambda ineq: ineq.support)
     return out
 

@@ -1,11 +1,15 @@
 """Rounding, the cut pool, and the cutting-plane driver."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
 import oracles
+import pitchcut
 from pitchcut import core, cutloop, gaplab
 
 F = Fraction
@@ -179,3 +183,29 @@ def test_run_values_climb_and_cuts_are_valid():
         assert report.final_lp <= report.int_opt
         assert report.gap == report.int_opt / report.final_lp
         assert sum(report.cut_counts.values()) <= report.iterations
+
+
+
+_SUMMARY = """\
+from pitchcut import cutloop, gaplab
+inst = gaplab.gen_lemma4(9).normalize()
+config = cutloop.LoopConfig(families=frozenset({"kc", "p12"}))
+report = cutloop.run(inst, config)
+print(__debug__, report.final_lp, report.reason, report.iterations,
+      sorted(report.cut_counts.items()))
+"""
+
+
+def test_run_is_unchanged_under_python_O(capsys):
+    # every LP solve must happen outside an assert, which -O strips
+    exec(_SUMMARY, {})
+    here = capsys.readouterr().out.split(" ", 1)[1]
+    src = os.path.dirname(os.path.dirname(pitchcut.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-O", "-c", _SUMMARY], env=env,
+                          capture_output=True, text=True, check=True)
+    debug, summary = proc.stdout.split(" ", 1)
+    assert debug == "False"
+    assert summary == here

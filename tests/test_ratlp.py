@@ -94,6 +94,38 @@ def test_row_generation_callback():
     assert len(model.rows) == 1
 
 
+def mixed_start_lp(cap, demand):
+    # no upper bound on z, so the solver starts at the lower bounds:
+    # the <= row holds there, the >= row fails, the = row holds exactly
+    model = ratlp.LPModel()
+    x = model.add_var(lb=0, ub=None, obj=1)
+    y = model.add_var(lb=0, ub=None, obj=5)
+    z = model.add_var(lb=0, ub=None, obj=1)
+    model.add_row({x: F(1), y: F(1)}, "<=", cap)
+    model.add_row({x: F(1), y: F(2)}, ">=", demand)
+    model.add_row({x: F(1), z: F(-1)}, "=", F(0))
+    return model
+
+
+def test_lower_start_gives_only_the_violated_row_an_artificial():
+    model = mixed_start_lp(F(4), F(2))
+    tableau = ratlp._Tableau(model)
+    assert tableau.ncols == model.n_vars + len(model.rows) + 1
+    assert tableau.basis == [3, 6, 5]
+    solution = ratlp.solve_lp(model)
+    assert solution.status == "optimal"
+    assert solution.primal == (F(2), F(0), F(2))
+    assert solution.objective == 4
+    assert solution.duals == (F(0), F(2), F(-1))
+
+
+def test_lower_start_detects_infeasibility_in_phase_one():
+    # x + 2y <= 2(x + y) <= 2 < 3
+    solution = ratlp.solve_lp(mixed_start_lp(F(1), F(3)))
+    assert solution.status == "infeasible"
+    assert solution.primal is None
+
+
 def test_natural_relaxation_of_the_square_gap_instance():
     inst = gaplab.gen_lemma4(4).normalize()
     model = ratlp.LPModel()
