@@ -2,7 +2,9 @@
 
 Subcommands: gen, solve, separate, cutplane, verify, gap-table.  Exit
 codes: 0 success or certified, 3 a violated cut was found and printed
-(separate), 2 bad input of any kind, 4 the DP cell budget ran out.
+(separate), 2 bad input of any kind, 4 the DP cell budget ran out, 5 an
+exactness check failed (an LP certificate, or a cut under --check-cuts),
+which is a bug in pitchcut.
 Points and inequality weights on the command line are written in input
 order, matching the item lines of the instance file.
 """
@@ -18,6 +20,7 @@ from . import cutloop, gaplab, knapdp
 from .core import (
     BudgetExceededError,
     KnapsackError,
+    VerificationError,
     compute_pitch,
     format_cut,
     is_valid,
@@ -305,6 +308,9 @@ def cli(argv=None):
     except BudgetExceededError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 4
+    except VerificationError as exc:
+        print("error: %s" % exc, file=sys.stderr)
+        return 5
     except (_InputError, gaplab.ParseError, KnapsackError,
             ValueError) as exc:
         print("error: %s" % exc, file=sys.stderr)

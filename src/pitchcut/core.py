@@ -36,6 +36,13 @@ class BudgetExceededError(KnapsackError):
     """A pseudo-polynomial table would exceed the configured cell budget."""
 
 
+class VerificationError(KnapsackError):
+    """An exactness check failed: an LP certificate or a cut's validity.
+
+    Any occurrence is a bug in pitchcut, never a property of the input.
+    """
+
+
 def _frac(x):
     # Fraction() accepts int/str/Fraction; floats are refused on purpose.
     if isinstance(x, float):

@@ -21,7 +21,14 @@ from fractions import Fraction
 from typing import NamedTuple, Optional
 
 from . import knapdp, ratlp, sep
-from .core import KnapsackError, as_point, is_valid, natural_row
+from .core import (
+    KnapsackError,
+    VerificationError,
+    as_point,
+    format_cut,
+    is_valid,
+    natural_row,
+)
 
 
 class RoundResult(NamedTuple):
@@ -108,9 +115,9 @@ class CutPool:
         key = ineq.key()
         if key in self._keys:
             return False
-        if self.check:
-            assert is_valid(ineq, self.inst, budget=self.budget), \
-                "separator produced an invalid cut"
+        if self.check and not is_valid(ineq, self.inst, budget=self.budget):
+            raise VerificationError("separator produced an invalid cut: %s"
+                                    % format_cut(ineq, self.inst))
         self._keys.add(key)
         self.cuts.append(ineq)
         return True

@@ -1,20 +1,28 @@
 """Exact rational LP solver: bounded-variable primal simplex, Bland's rule.
 
-Small and deliberate.  All arithmetic is Fraction, so there are no
-tolerances anywhere; optimality, feasibility and duality are checked
-exactly by assertions on every optimal solve.  Variable bounds are kept
-out of the row system (nonbasic variables sit at a finite lower or a
-finite upper bound) and rows get one slack each.  The start point is
-the all-upper-bounds point when it satisfies every row, else the
-all-lower-bounds point; only rows that the start point violates get an
-artificial column, and phase 1 runs only when there is one, so
-infeasibility is detected there.
+Small and deliberate.  All arithmetic is exact, so there are no
+tolerances anywhere.  The tableau keeps each row as Python ints over
+one positive denominator per row, reduced to lowest terms after every
+update, so a pivot costs integer multiplies and one gcd per row rather
+than a Fraction per entry.  The point, the bounds and the ratio-test
+limits stay Fraction, and the API takes and returns Fraction.
+Optimality, feasibility and duality are checked exactly on every
+optimal solve; a failed check raises VerificationError, also under
+python -O.  Variable bounds are kept out of the row system (nonbasic
+variables sit at a finite lower or a finite upper bound) and rows get
+one slack each.  The start point is the all-upper-bounds point when it
+satisfies every row, else the all-lower-bounds point; only rows that
+the start point violates get an artificial column, and phase 1 runs
+only when there is one, so infeasibility is detected there.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+
+from .core import VerificationError
 
 SENSES = (">=", "<=", "=")
 
@@ -67,6 +75,42 @@ class LPSolution:
     duals: tuple
 
 
+def _reduced(row, den):
+    # divide out the common factor so that (row, den) is in lowest terms
+    g = gcd(den, *row)
+    if g != 1:
+        row = [w // g for w in row]
+        den //= g
+    return row, den
+
+
+def _integer_row(values):
+    """Integers nums and den > 0 with values[j] == nums[j] / den."""
+    den = lcm(*(v.denominator for v in values))
+    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
+
+
+def _nonzero(row):
+    return [(j, w) for j, w in enumerate(row) if w]
+
+
+def _eliminate(row, den, col, pivot_row, nonzero):
+    """Subtract the multiple of the pivot row that zeroes row[col].
+
+    The pivot row is normalized: its entry in col equals its
+    denominator, and nonzero lists its (column, entry) pairs.  Returns
+    the new (row, den) in lowest terms; row may be updated in place.
+    """
+    g = gcd(pivot_row[col], row[col])
+    scale, factor = pivot_row[col] // g, row[col] // g
+    if scale != 1:
+        row = [w * scale for w in row]
+        den *= scale
+    for j, w in nonzero:
+        row[j] -= factor * w
+    return _reduced(row, den)
+
+
 class _Tableau:
     """One simplex run over the expanded column system.
 
@@ -79,6 +123,12 @@ class _Tableau:
     the slack basic, any other row with its artificial basic.
     Artificials carry the phase-1 objective and are frozen to [0, 0]
     afterwards.
+
+    Row i of the tableau is T[i][j] / D[i]: Python ints over one
+    positive denominator, kept in lowest terms, with its basic column
+    a unit column (T[i][basis[i]] == D[i]).  The reduced-cost row
+    d[j] / dden = c_j - (c_B^T T)_j of the cost being run is built once
+    per run and then updated by every pivot like any other row.
     """
 
     def __init__(self, model):
@@ -118,52 +168,50 @@ class _Tableau:
         # dense row system A x = b over all columns, each row scaled so
         # that its basic column has coefficient +1
         self.T = []
+        self.D = []
         self.basis = []
         artificial = nv + m
         for i, (coefficients, _, _) in enumerate(model.rows):
-            row = [Fraction(0)] * self.ncols
+            den = lcm(*(w.denominator for w in coefficients.values()))
+            row = [0] * self.ncols
             for j, w in coefficients.items():
-                row[j] = w
-            row[nv + i] = Fraction(self.slack_sign[i])
+                row[j] = w.numerator * (den // w.denominator)
+            row[nv + i] = self.slack_sign[i] * den
             if fits[i]:
                 basic, sign = nv + i, self.slack_sign[i]
             else:
                 basic, sign = artificial, -1 if residuals[i] < 0 else 1
-                row[basic] = Fraction(sign)
+                row[basic] = sign * den
                 artificial += 1
             if sign < 0:
                 row = [-w for w in row]
+            row, den = _reduced(row, den)
             self.T.append(row)
+            self.D.append(den)
             self.basis.append(basic)
             self.xval[basic] = residuals[i] * sign
+        self.d = None  # the reduced-cost row, set by run
+        self.dden = 1
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
 
-    def _reduced_costs(self, cost):
-        # w = c_B^T T, then d_j = c_j - w_j
-        w = [Fraction(0)] * self.ncols
-        for i in range(self.m):
-            cb = cost[self.basis[i]]
-            if cb:
-                row = self.T[i]
-                for j in range(self.ncols):
-                    if row[j]:
-                        w[j] += cb * row[j]
-        return w
-
     def _pivot(self, row, col):
-        T = self.T
-        piv = T[row][col]
-        if piv != 1:
-            T[row] = [w / piv for w in T[row]]
+        T, D = self.T, self.D
         prow = T[row]
+        if prow[col] < 0:
+            prow = [-w for w in prow]
+        # divided by its entry in col, the row has denominator prow[col]
+        prow, D[row] = _reduced(prow, prow[col])
+        T[row] = prow
+        nonzero = _nonzero(prow)
         for i in range(self.m):
-            if i == row:
-                continue
-            factor = T[i][col]
-            if factor:
-                T[i] = [a - factor * b for a, b in zip(T[i], prow)]
+            if i != row and T[i][col]:
+                T[i], D[i] = _eliminate(T[i], D[i], col, prow, nonzero)
+        if self.d[col]:
+            self.d, self.dden = _eliminate(
+                self.d, self.dden, col, prow, nonzero
+            )
         self.basis[row] = col
 
     def run(self, cost):
@@ -171,44 +219,52 @@ class _Tableau:
 
         Returns "optimal" or "unbounded"; self.xval holds the point.
         """
+        T, D = self.T, self.D
+        self.d, self.dden = _integer_row(cost)
+        for i, k in enumerate(self.basis):
+            if self.d[k]:
+                self.d, self.dden = _eliminate(
+                    self.d, self.dden, k, T[i], _nonzero(T[i])
+                )
         in_basis = set(self.basis)
         for _ in range(_MAX_PIVOTS):
-            w = self._reduced_costs(cost)
+            d = self.d
             enter = -1
             direction = 0
             for j in range(self.ncols):
-                if j in in_basis:
+                dj = d[j]
+                if not dj or j in in_basis:
                     continue
                 lj, uj = self.lower[j], self.upper[j]
                 if uj is not None and lj == uj:
                     continue  # fixed column can never move
-                d = cost[j] - w[j]
-                if d < 0 and self.xval[j] != uj:
+                if dj < 0 and self.xval[j] != uj:
                     enter, direction = j, 1
                     break
-                if d > 0 and self.xval[j] != lj:
+                if dj > 0 and self.xval[j] != lj:
                     enter, direction = j, -1
                     break
             if enter < 0:
                 return "optimal"
 
-            # ratio test: how far can x_enter move toward its other bound
+            # ratio test: how far can x_enter move toward its other bound;
+            # row i moves x_basis[i] by -g/D[i] per unit step of x_enter
             span = None
             if self.upper[enter] is not None:
                 span = self.upper[enter] - self.lower[enter]
             best_t = None
             leave_row = -1
             for i in range(self.m):
-                g = self.T[i][enter] * direction
+                g = T[i][enter] * direction
                 if g == 0:
                     continue
                 k = self.basis[i]
                 if g > 0:
-                    limit = (self.xval[k] - self.lower[k]) / g
+                    limit = (self.xval[k] - self.lower[k]) * D[i] / g
                 else:
                     if self.upper[k] is None:
                         continue
-                    limit = (self.upper[k] - self.xval[k]) / (-g)
+                    limit = (self.upper[k] - self.xval[k]) * D[i] / (-g)
                 if best_t is None or limit < best_t or (
                     limit == best_t and k < self.basis[leave_row]
                 ):
@@ -217,25 +273,20 @@ class _Tableau:
             if best_t is None and span is None:
                 return "unbounded"
 
-            if best_t is None or (span is not None and span <= best_t):
-                # bound flip, no basis change
-                t = span
-                for i in range(self.m):
-                    g = self.T[i][enter] * direction
-                    if g:
-                        self.xval[self.basis[i]] -= g * t
-                self.xval[enter] += direction * t
+            flip = best_t is None or (span is not None and span <= best_t)
+            # a bound flip moves x_enter by its span, no basis change
+            t = span if flip else best_t
+            for i in range(self.m):
+                g = T[i][enter] * direction
+                if g:
+                    self.xval[self.basis[i]] -= t * g / D[i]
+            self.xval[enter] += direction * t
+            if flip:
                 continue
 
-            t = best_t
-            for i in range(self.m):
-                g = self.T[i][enter] * direction
-                if g:
-                    self.xval[self.basis[i]] -= g * t
-            self.xval[enter] += direction * t
             leave = self.basis[leave_row]
             # snap the leaving variable onto the bound it hit
-            if self.T[leave_row][enter] * direction > 0:
+            if T[leave_row][enter] * direction > 0:
                 self.xval[leave] = self.lower[leave]
             else:
                 self.xval[leave] = self.upper[leave]
@@ -263,34 +314,42 @@ class _Tableau:
         for j in range(self.nv + self.m, self.ncols):
             self.upper[j] = Fraction(0)
 
-    def duals(self, cost):
-        w = self._reduced_costs(cost)
-        y = []
-        for i in range(self.m):
-            slack = self.nv + i
-            y.append(self.slack_sign[i] * w[slack])
-        return y
+    def duals(self):
+        """Row duals y_i = slack_sign_i * (c_B^T T)_slack of the last
+        run; slacks cost nothing, so that is -slack_sign_i * d_slack."""
+        return [
+            Fraction(-self.slack_sign[i] * self.d[self.nv + i], self.dden)
+            for i in range(self.m)
+        ]
+
+
+def _require(condition, what):
+    if not condition:
+        raise VerificationError("LP certificate failed: " + what)
 
 
 def _verify_optimal(model, primal, duals, objective_value):
-    # exact KKT check; any failure here is a solver bug
+    """Exact KKT check of an optimal primal/dual pair.
+
+    Raises VerificationError on any failure, which is a solver bug.
+    It is an explicit raise, not an assert, so it also runs under -O.
+    """
     for j in range(model.n_vars):
-        assert model.lower[j] <= primal[j], "lower bound violated"
-        assert model.upper[j] is None or primal[j] <= model.upper[j], (
-            "upper bound violated"
-        )
+        _require(model.lower[j] <= primal[j], "lower bound violated")
+        _require(model.upper[j] is None or primal[j] <= model.upper[j],
+                 "upper bound violated")
     dual_obj = Fraction(0)
     for (coefficients, sense, rhs), y in zip(model.rows, duals):
         lhs = sum(w * primal[j] for j, w in coefficients.items())
         if sense == ">=":
-            assert lhs >= rhs, "row violated"
-            assert y >= 0, "dual sign"
+            _require(lhs >= rhs, "row violated")
+            _require(y >= 0, "dual sign")
         elif sense == "<=":
-            assert lhs <= rhs, "row violated"
-            assert y <= 0, "dual sign"
+            _require(lhs <= rhs, "row violated")
+            _require(y <= 0, "dual sign")
         else:
-            assert lhs == rhs, "equality row violated"
-        assert y == 0 or lhs == rhs, "complementary slackness (rows)"
+            _require(lhs == rhs, "equality row violated")
+        _require(y == 0 or lhs == rhs, "complementary slackness (rows)")
         dual_obj += y * rhs
     for j in range(model.n_vars):
         d = model.objective[j]
@@ -298,14 +357,15 @@ def _verify_optimal(model, primal, duals, objective_value):
             if y and j in coefficients:
                 d -= y * coefficients[j]
         if d > 0:
-            assert primal[j] == model.lower[j], "reduced cost sign at lower"
+            _require(primal[j] == model.lower[j], "reduced cost sign at lower")
             dual_obj += d * model.lower[j]
         elif d < 0:
-            assert model.upper[j] is not None and primal[j] == model.upper[j], (
-                "reduced cost sign at upper"
+            _require(
+                model.upper[j] is not None and primal[j] == model.upper[j],
+                "reduced cost sign at upper",
             )
             dual_obj += d * model.upper[j]
-    assert dual_obj == objective_value, "strong duality gap"
+    _require(dual_obj == objective_value, "strong duality gap")
 
 
 def _upper_point_feasible(model):
@@ -352,7 +412,7 @@ def _solve_once(model):
     objective_value = sum(
         model.objective[j] * primal[j] for j in range(tab.nv)
     )
-    duals = tuple(tab.duals(cost))
+    duals = tuple(tab.duals())
     _verify_optimal(model, primal, duals, objective_value)
     return LPSolution(
         status="optimal",

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from pitchcut import gaplab
+from pitchcut import cutloop, gaplab, ratlp
 from pitchcut.cli import cli
 
 F = Fraction
@@ -199,6 +199,20 @@ def test_gap_table_rejects_bad_n_list(capsys):
 def test_dp_budget_exhaustion_is_exit_4(worked_file, capsys):
     assert cli(["--dp-budget", "10", "solve", worked_file]) == 4
     assert capsys.readouterr().err.startswith("error: DP table needs")
+
+
+def test_failed_exactness_checks_are_exit_5(worked_file, monkeypatch,
+                                           capsys):
+    with monkeypatch.context() as patch:
+        # a cut pool check that rejects every cut
+        patch.setattr(cutloop, "is_valid", lambda *args, **kwargs: False)
+        assert cli(["cutplane", worked_file, "--check-cuts"]) == 5
+    assert "invalid cut" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        # duals that no longer certify the optimum
+        patch.setattr(ratlp._Tableau, "duals", lambda self: [F(0)] * self.m)
+        assert cli(["cutplane", worked_file]) == 5
+    assert "LP certificate failed" in capsys.readouterr().err
 
 
 def test_parse_errors_are_exit_2(tmp_path, capsys):

@@ -101,7 +101,7 @@ def test_cut_pool_check_rejects_invalid_cuts():
     inst = core.normalize((F(1),) * 3, (F(1, 2),) * 3, F(1))
     pool = cutloop.CutPool(inst, check=True)
     bogus = core.make_inequality({0: F(1)}, F(1), "user")
-    with pytest.raises(AssertionError):
+    with pytest.raises(core.VerificationError):
         pool.add(bogus)
     assert pool.add(core.make_inequality({0: F(1), 1: F(1), 2: F(1)},
                                          F(2), "user"))
@@ -187,17 +187,33 @@ def test_run_values_climb_and_cuts_are_valid():
 
 
 _SUMMARY = """\
-from pitchcut import cutloop, gaplab
+from fractions import Fraction as F
+from pitchcut import core, cutloop, gaplab, ratlp
 inst = gaplab.gen_lemma4(9).normalize()
 config = cutloop.LoopConfig(families=frozenset({"kc", "p12"}))
 report = cutloop.run(inst, config)
+rejected = []
+box = ratlp.LPModel()
+x = box.add_var(lb=0, ub=1, obj=1)
+box.add_row({x: F(1)}, ">=", F(1))
+try:  # the optimum x = 1 with its dual 1 replaced by 0
+    ratlp._verify_optimal(box, (F(1),), (F(0),), F(1))
+except core.VerificationError:
+    rejected.append("lp")
+halves = core.normalize((F(1),) * 3, (F(1, 2),) * 3, F(1))
+try:  # x1 >= 1 cuts off the cover {x2, x3}
+    cutloop.CutPool(halves, check=True).add(
+        core.make_inequality({0: F(1)}, F(1), "user"))
+except core.VerificationError:
+    rejected.append("cut")
 print(__debug__, report.final_lp, report.reason, report.iterations,
-      sorted(report.cut_counts.items()))
+      sorted(report.cut_counts.items()), rejected)
 """
 
 
 def test_run_is_unchanged_under_python_O(capsys):
-    # every LP solve must happen outside an assert, which -O strips
+    # every LP solve must happen outside an assert, which -O strips, and
+    # the exactness checks must raise rather than assert
     exec(_SUMMARY, {})
     here = capsys.readouterr().out.split(" ", 1)[1]
     src = os.path.dirname(os.path.dirname(pitchcut.__file__))
@@ -209,3 +225,5 @@ def test_run_is_unchanged_under_python_O(capsys):
     debug, summary = proc.stdout.split(" ", 1)
     assert debug == "False"
     assert summary == here
+    # the LP certificate and the cut pool check both still reject
+    assert summary.endswith(" ['lp', 'cut']\n")

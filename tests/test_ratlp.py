@@ -1,5 +1,6 @@
 """Exact rational simplex: pins, statuses, and a float cross-check."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -216,3 +217,39 @@ def test_upper_bound_start_agrees_with_phase_one(monkeypatch):
         assert fast.status == slow.status == "optimal"
         assert fast.objective == slow.objective
         checked += 1
+
+
+def test_tableau_invariants_hold_at_every_exit(monkeypatch):
+    # the reduced-cost row is maintained through pivots, never recomputed;
+    # check it against c - c_B^T T from scratch at every run's exit,
+    # together with the integer rows' normal form and unit basic columns
+    exits = {"optimal": 0, "unbounded": 0}
+    run = ratlp._Tableau.run
+
+    def checked_run(tableau, cost):
+        status = run(tableau, cost)
+        exits[status] += 1
+        rows = [[F(w, den) for w in row]
+                for row, den in zip(tableau.T, tableau.D)]
+        for i, (row, den) in enumerate(zip(tableau.T, tableau.D)):
+            assert den > 0
+            assert math.gcd(den, *row) == 1
+            for k, basic in enumerate(tableau.basis):
+                assert rows[i][basic] == (1 if k == i else 0)
+        scratch = [
+            cost[j] - sum(cost[basic] * row[j]
+                          for basic, row in zip(tableau.basis, rows))
+            for j in range(tableau.ncols)
+        ]
+        assert tableau.dden > 0
+        assert math.gcd(tableau.dden, *tableau.d) == 1
+        assert [F(w, tableau.dden) for w in tableau.d] == scratch
+        return status
+
+    monkeypatch.setattr(ratlp._Tableau, "run", checked_run)
+    rng = random.Random(33)
+    statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    for _ in range(300):
+        statuses[ratlp.solve_lp(random_model(rng)).status] += 1
+    assert all(statuses.values())
+    assert all(exits.values())
