@@ -3,8 +3,9 @@
 Subcommands: gen, solve, separate, cutplane, verify, gap-table.  Exit
 codes: 0 success or certified, 3 a violated cut was found and printed
 (separate), 2 bad input of any kind, 4 the DP cell budget ran out, 5 an
-exactness check failed (an LP certificate, or a cut under --check-cuts),
-which is a bug in pitchcut.
+exactness check failed (an LP certificate, a cut under --check-cuts, a
+separator's or a kernel's self-check, or a rounding guarantee), which
+is a bug in pitchcut.
 Points and inequality weights on the command line are written in input
 order, matching the item lines of the instance file.
 """
@@ -12,6 +13,7 @@ order, matching the item lines of the instance file.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -284,6 +286,13 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    # a parser is a graph of reference cycles that only a full garbage
+    # collection frees, so the process builds one and reuses it
+    return build_parser()
+
+
 _HANDLERS = {
     "gen": _cmd_gen,
     "solve": _cmd_solve,
@@ -295,9 +304,8 @@ _HANDLERS = {
 
 
 def cli(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code is not None else 0
     needs_n = args.command == "gen" and args.family != "pitch3-wild"

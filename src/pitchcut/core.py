@@ -37,7 +37,9 @@ class BudgetExceededError(KnapsackError):
 
 
 class VerificationError(KnapsackError):
-    """An exactness check failed: an LP certificate or a cut's validity.
+    """An exactness check failed: an LP certificate, a cut's validity, a
+    separator's violated cut, the KC kernel's score or a rounding
+    guarantee.
 
     Any occurrence is a bug in pitchcut, never a property of the input.
     """

@@ -46,7 +46,9 @@ def round_kc(inst, xbar):
     the shortest prefix whose half-sum reaches b' (the prefix one
     shorter is preferred when its full sum already covers).  guaranteed
     reports whether xbar satisfies the knapsack-cover inequality for S;
-    when it does, the chosen cover costs at most twice c.xbar.
+    when it does, the chosen cover costs at most twice c.xbar.  The
+    cover and the cost bound are checked; a breach raises
+    VerificationError.
     """
     x = as_point(xbar, inst.n)
     half = Fraction(1, 2)
@@ -56,7 +58,8 @@ def round_kc(inst, xbar):
     if bprime <= 0:
         cost = sum(inst.costs[i] for i in S)
         # every taken coordinate is >= 1/2, so cost <= 2 sum_S c_i x_i
-        assert cost <= 2 * cx
+        if cost > 2 * cx:
+            raise VerificationError("rounding broke its cost guarantee")
         return RoundResult(chosen=tuple(S), cost=cost, guaranteed=True)
 
     taken = set(S)
@@ -94,10 +97,11 @@ def round_kc(inst, xbar):
 
     chosen = sorted(S + [i for _, i, _ in residual[:take]])
     covered = sum(inst.profits[i] for i in chosen)
-    assert covered >= 1
+    if covered < 1:
+        raise VerificationError("rounding returned a set that does not cover")
     cost = sum(inst.costs[i] for i in chosen)
-    if guaranteed:
-        assert cost <= 2 * cx
+    if guaranteed and cost > 2 * cx:
+        raise VerificationError("rounding broke its cost guarantee")
     return RoundResult(chosen=tuple(chosen), cost=cost, guaranteed=guaranteed)
 
 

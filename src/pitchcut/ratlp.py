@@ -1,19 +1,27 @@
 """Exact rational LP solver: bounded-variable primal simplex, Bland's rule.
 
 Small and deliberate.  All arithmetic is exact, so there are no
-tolerances anywhere.  The tableau keeps each row as Python ints over
-one positive denominator per row, reduced to lowest terms after every
-update, so a pivot costs integer multiplies and one gcd per row rather
-than a Fraction per entry.  The point, the bounds and the ratio-test
-limits stay Fraction, and the API takes and returns Fraction.
+tolerances anywhere, and a solve does no Fraction arithmetic: Fraction
+is only the API, LPModel in and LPSolution out.  Each solve scales
+every row once to integers over its own denominator and every bound to
+an integer over L, the lcm of the bound denominators.  The tableau
+keeps each row as Python ints over one positive denominator per row,
+reduced to lowest terms after every update, so a pivot costs integer
+multiplies and one gcd per row.  The point lives in the tableau too: an
+extra value column holds the basic values, which the row operations
+carry like any other column (Bareiss, Math. Comp. 1968), while a flag
+per column says which bound a nonbasic variable sits at.  The ratio
+test compares its limits as integer pairs by cross-multiplication.
 Optimality, feasibility and duality are checked exactly on every
-optimal solve; a failed check raises VerificationError, also under
-python -O.  Variable bounds are kept out of the row system (nonbasic
-variables sit at a finite lower or a finite upper bound) and rows get
-one slack each.  The start point is the all-upper-bounds point when it
-satisfies every row, else the all-lower-bounds point; only rows that
-the start point violates get an artificial column, and phase 1 runs
-only when there is one, so infeasibility is detected there.
+optimal solve, from the model, the primal and the duals alone, with
+integer dot products for the rows and the reduced costs; a failed check
+raises VerificationError, also under python -O.  Variable bounds are
+kept out of the row system (nonbasic variables sit at a finite lower or
+a finite upper bound) and rows get one slack each.  The start point is
+the all-upper-bounds point when it satisfies every row, else the
+all-lower-bounds point; only rows that the start point violates get an
+artificial column, and phase 1 runs only when there is one, so
+infeasibility is detected there.
 """
 
 from __future__ import annotations
@@ -90,6 +98,44 @@ def _integer_row(values):
     return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 
 
+def _scaled_row(coefficients, rhs):
+    """The row as (den, [(j, int)], int rhs), all over den > 0."""
+    den = lcm(rhs.denominator, *(w.denominator for w in coefficients.values()))
+    terms = [(j, w.numerator * (den // w.denominator))
+             for j, w in coefficients.items()]
+    return den, terms, rhs.numerator * (den // rhs.denominator)
+
+
+def _residuals(rows, point, scale):
+    """rhs * scale - a.point for each scaled row, at an integer point
+    that is scale times the real one."""
+    return [rhs * scale - sum(w * point[j] for j, w in terms)
+            for _, terms, rhs in rows]
+
+
+def _fits(residual, sense):
+    # residual = rhs - a.x, scaled by a positive factor
+    if sense == ">=":
+        return residual <= 0
+    if sense == "<=":
+        return residual >= 0
+    return residual == 0
+
+
+def _upper_residuals(rows, senses, up, scale):
+    """The rows' residuals at the all-upper-bounds point when every
+    variable has a finite upper bound and that point satisfies every
+    row, else None; lets the solver start on a slack basis with no
+    phase 1.  Cut LPs over the [0,1] box hit this constantly: valid
+    cuts hold at the all-ones point."""
+    if None in up:
+        return None
+    residuals = _residuals(rows, up, scale)
+    if all(map(_fits, residuals, senses)):
+        return residuals
+    return None
+
+
 def _nonzero(row):
     return [(j, w) for j, w in enumerate(row) if w]
 
@@ -118,17 +164,24 @@ class _Tableau:
     for >= rows so slacks keep bounds [0, inf)), then one artificial per
     row that the start point violates, in row order.  Nonbasic
     structurals start at their upper bounds when that point satisfies
-    every row (see _upper_point_feasible), else at their lower bounds.
+    every row (see _upper_residuals), else at their lower bounds.
     A row whose slack fits its bounds at the start point starts with
     the slack basic, any other row with its artificial basic.
     Artificials carry the phase-1 objective and are frozen to [0, 0]
     afterwards.
 
-    Row i of the tableau is T[i][j] / D[i]: Python ints over one
-    positive denominator, kept in lowest terms, with its basic column
-    a unit column (T[i][basis[i]] == D[i]).  The reduced-cost row
-    d[j] / dden = c_j - (c_B^T T)_j of the cost being run is built once
-    per run and then updated by every pivot like any other row.
+    Bounds are the ints lo[j] and up[j] (None: no upper bound), the
+    real bounds times L.  A nonbasic column sits at up[j] when
+    at_upper[j], else at lo[j].  Row i of the tableau is T[i][j] / D[i]
+    for j < ncols: Python ints over one positive denominator, kept in
+    lowest terms, with its basic column a unit column
+    (T[i][basis[i]] == D[i]).  T[i][ncols] is the value column:
+    x_basis[i] == T[i][ncols] / (L * D[i]).  It starts as the residual
+    of the row at the start point and goes through every row operation
+    like any other column; moving a nonbasic column moves it.  The
+    reduced-cost row d[j] / dden = c_j - (c_B^T T)_j of the cost being
+    run has no value entry; it is built once per run and then updated
+    by every pivot like any other row.
     """
 
     def __init__(self, model):
@@ -136,46 +189,42 @@ class _Tableau:
         nv = model.n_vars
         self.m = m
         self.nv = nv
-        self.model = model
-        self.lower = list(model.lower)
-        self.upper = list(model.upper)
-        for j, lb in enumerate(self.lower):
+        for j, lb in enumerate(model.lower):
             if lb is None:
                 raise ValueError("variable %d needs a finite lower bound" % j)
-        self.slack_sign = []
-        for _, sense, _ in model.rows:
-            self.slack_sign.append(-1 if sense == ">=" else 1)
-            self.lower.append(Fraction(0))
-            self.upper.append(Fraction(0) if sense == "=" else None)
+        bounds = [*model.lower, *(ub for ub in model.upper if ub is not None)]
+        self.L = L = lcm(*(b.denominator for b in bounds))
+        self.lo = [b.numerator * (L // b.denominator) for b in model.lower]
+        self.up = [None if b is None else b.numerator * (L // b.denominator)
+                   for b in model.upper]
 
-        start = self.upper if _upper_point_feasible(model) else self.lower
-        self.xval = start[:nv] + [Fraction(0)] * m
-        residuals = []
-        fits = []
-        for i, (coefficients, sense, rhs) in enumerate(model.rows):
-            residual = rhs - sum(
-                w * self.xval[j] for j, w in coefficients.items()
-            )
-            slack = residual * self.slack_sign[i]
-            residuals.append(residual)
-            fits.append(slack == 0 if sense == "=" else slack >= 0)
+        rows = [_scaled_row(coefficients, rhs)
+                for coefficients, _, rhs in model.rows]
+        senses = [sense for _, sense, _ in model.rows]
+        residuals = _upper_residuals(rows, senses, self.up, L)
+        self.at_upper = [residuals is not None] * nv
+        if residuals is None:
+            residuals = _residuals(rows, self.lo, L)
+        fits = list(map(_fits, residuals, senses))
         n_art = fits.count(False)
-        self.ncols = nv + m + n_art
-        self.lower.extend([Fraction(0)] * n_art)
-        self.upper.extend([None] * n_art)
-        self.xval.extend([Fraction(0)] * n_art)
+        self.ncols = ncols = nv + m + n_art
+        self.slack_sign = [-1 if sense == ">=" else 1 for sense in senses]
+        self.lo.extend([0] * (m + n_art))
+        self.up.extend([0 if sense == "=" else None for sense in senses])
+        self.up.extend([None] * n_art)
+        self.at_upper.extend([False] * (m + n_art))
 
-        # dense row system A x = b over all columns, each row scaled so
-        # that its basic column has coefficient +1
+        # dense row system A x = b over all columns plus the value
+        # column, each row scaled so that its basic column has
+        # coefficient +1
         self.T = []
         self.D = []
         self.basis = []
         artificial = nv + m
-        for i, (coefficients, _, _) in enumerate(model.rows):
-            den = lcm(*(w.denominator for w in coefficients.values()))
-            row = [0] * self.ncols
-            for j, w in coefficients.items():
-                row[j] = w.numerator * (den // w.denominator)
+        for i, (den, terms, _) in enumerate(rows):
+            row = [0] * (ncols + 1)
+            for j, w in terms:
+                row[j] = w
             row[nv + i] = self.slack_sign[i] * den
             if fits[i]:
                 basic, sign = nv + i, self.slack_sign[i]
@@ -183,21 +232,35 @@ class _Tableau:
                 basic, sign = artificial, -1 if residuals[i] < 0 else 1
                 row[basic] = sign * den
                 artificial += 1
+            row[ncols] = residuals[i]
             if sign < 0:
                 row = [-w for w in row]
             row, den = _reduced(row, den)
             self.T.append(row)
             self.D.append(den)
             self.basis.append(basic)
-            self.xval[basic] = residuals[i] * sign
         self.d = None  # the reduced-cost row, set by run
         self.dden = 1
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
 
-    def _pivot(self, row, col):
-        T, D = self.T, self.D
+    def _pivot(self, row, col, to_upper):
+        """col enters the basis at row; the leaving variable becomes
+        nonbasic at its upper bound if to_upper, else at its lower."""
+        T, D, ncols = self.T, self.D, self.ncols
+        # fold the entering column's value into the value column, and
+        # take the leaving variable's out of it
+        bound = self.up[col] if self.at_upper[col] else self.lo[col]
+        if bound:
+            for r in T:
+                if r[col]:
+                    r[ncols] += r[col] * bound
+        leave = self.basis[row]
+        self.at_upper[leave] = to_upper
+        T[row][ncols] -= D[row] * (
+            self.up[leave] if to_upper else self.lo[leave])
+
         prow = T[row]
         if prow[col] < 0:
             prow = [-w for w in prow]
@@ -209,6 +272,8 @@ class _Tableau:
             if i != row and T[i][col]:
                 T[i], D[i] = _eliminate(T[i], D[i], col, prow, nonzero)
         if self.d[col]:
+            if prow[ncols]:
+                nonzero.pop()  # the d row has no value entry
             self.d, self.dden = _eliminate(
                 self.d, self.dden, col, prow, nonzero
             )
@@ -217,16 +282,19 @@ class _Tableau:
     def run(self, cost):
         """Bland-rule simplex under the given column costs.
 
-        Returns "optimal" or "unbounded"; self.xval holds the point.
+        Returns "optimal" or "unbounded"; the value column and at_upper
+        hold the point.
         """
-        T, D = self.T, self.D
+        T, D, basis = self.T, self.D, self.basis
+        lo, up, at_upper = self.lo, self.up, self.at_upper
+        value = self.ncols
         self.d, self.dden = _integer_row(cost)
-        for i, k in enumerate(self.basis):
+        for i, k in enumerate(basis):
             if self.d[k]:
                 self.d, self.dden = _eliminate(
-                    self.d, self.dden, k, T[i], _nonzero(T[i])
+                    self.d, self.dden, k, T[i], _nonzero(T[i][:value])
                 )
-        in_basis = set(self.basis)
+        in_basis = set(basis)
         for _ in range(_MAX_PIVOTS):
             d = self.d
             enter = -1
@@ -235,62 +303,59 @@ class _Tableau:
                 dj = d[j]
                 if not dj or j in in_basis:
                     continue
-                lj, uj = self.lower[j], self.upper[j]
-                if uj is not None and lj == uj:
+                if lo[j] == up[j]:
                     continue  # fixed column can never move
-                if dj < 0 and self.xval[j] != uj:
+                if dj < 0 and not at_upper[j]:
                     enter, direction = j, 1
                     break
-                if dj > 0 and self.xval[j] != lj:
+                if dj > 0 and at_upper[j]:
                     enter, direction = j, -1
                     break
             if enter < 0:
                 return "optimal"
 
             # ratio test: how far can x_enter move toward its other bound;
-            # row i moves x_basis[i] by -g/D[i] per unit step of x_enter
-            span = None
-            if self.upper[enter] is not None:
-                span = self.upper[enter] - self.lower[enter]
-            best_t = None
+            # row i moves x_basis[i] by -g/D[i] per unit step of x_enter.
+            # A limit is the pair (num, den), den > 0, worth num / (L den)
+            span = None if up[enter] is None else up[enter] - lo[enter]
+            best_num = best_den = 0
             leave_row = -1
             for i in range(self.m):
                 g = T[i][enter] * direction
                 if g == 0:
                     continue
-                k = self.basis[i]
+                k = basis[i]
                 if g > 0:
-                    limit = (self.xval[k] - self.lower[k]) * D[i] / g
+                    num = T[i][value] - lo[k] * D[i]
                 else:
-                    if self.upper[k] is None:
+                    if up[k] is None:
                         continue
-                    limit = (self.upper[k] - self.xval[k]) * D[i] / (-g)
-                if best_t is None or limit < best_t or (
-                    limit == best_t and k < self.basis[leave_row]
-                ):
-                    best_t = limit
-                    leave_row = i
-            if best_t is None and span is None:
+                    num, g = up[k] * D[i] - T[i][value], -g
+                if leave_row < 0:
+                    less = True
+                else:
+                    left, right = num * best_den, best_num * g
+                    less = left < right or (
+                        left == right and k < basis[leave_row])
+                if less:
+                    best_num, best_den, leave_row = num, g, i
+            if leave_row < 0 and span is None:
                 return "unbounded"
 
-            flip = best_t is None or (span is not None and span <= best_t)
-            # a bound flip moves x_enter by its span, no basis change
-            t = span if flip else best_t
-            for i in range(self.m):
-                g = T[i][enter] * direction
-                if g:
-                    self.xval[self.basis[i]] -= t * g / D[i]
-            self.xval[enter] += direction * t
-            if flip:
+            if leave_row < 0 or (
+                span is not None and span * best_den <= best_num
+            ):
+                # a bound flip moves x_enter by its span, no basis change
+                step = direction * span
+                for row in T:
+                    if row[enter]:
+                        row[value] -= row[enter] * step
+                at_upper[enter] = not at_upper[enter]
                 continue
 
-            leave = self.basis[leave_row]
-            # snap the leaving variable onto the bound it hit
-            if T[leave_row][enter] * direction > 0:
-                self.xval[leave] = self.lower[leave]
-            else:
-                self.xval[leave] = self.upper[leave]
-            self._pivot(leave_row, enter)
+            leave = basis[leave_row]
+            # the leaving variable lands on the bound it hit
+            self._pivot(leave_row, enter, T[leave_row][enter] * direction < 0)
             in_basis.discard(leave)
             in_basis.add(enter)
         raise AssertionError("pivot limit hit, Bland's rule should terminate")
@@ -301,18 +366,33 @@ class _Tableau:
                 continue
             target = -1
             for j in range(self.nv + self.m):
-                lj, uj = self.lower[j], self.upper[j]
-                if uj is not None and lj == uj:
+                if self.lo[j] == self.up[j]:
                     continue
                 if j not in self.basis and self.T[i][j] != 0:
                     target = j
                     break
             if target >= 0:
                 # degenerate swap: the artificial sits at zero, values keep
-                self._pivot(i, target)
+                self._pivot(i, target, False)
         # freeze every artificial at zero
         for j in range(self.nv + self.m, self.ncols):
-            self.upper[j] = Fraction(0)
+            self.up[j] = 0
+
+    def artificials_at_zero(self):
+        # basic values are within bounds, so no artificial is negative
+        return not any(self.T[i][self.ncols] > 0
+                       for i, k in enumerate(self.basis)
+                       if self.is_artificial(k))
+
+    def primal(self):
+        """The structural part of the point, as Fractions."""
+        L = self.L
+        x = [Fraction(self.up[j] if self.at_upper[j] else self.lo[j], L)
+             for j in range(self.nv)]
+        for i, k in enumerate(self.basis):
+            if k < self.nv:
+                x[k] = Fraction(self.T[i][self.ncols], L * self.D[i])
+        return x
 
     def duals(self):
         """Row duals y_i = slack_sign_i * (c_B^T T)_slack of the last
@@ -333,82 +413,86 @@ def _verify_optimal(model, primal, duals, objective_value):
 
     Raises VerificationError on any failure, which is a solver bug.
     It is an explicit raise, not an assert, so it also runs under -O.
+    It reads the model, the primal and the duals, never the tableau,
+    and scales the rows itself instead of calling _scaled_row, so that
+    a scaling fault in the solver cannot pass its own check.
+    The sums are integer dot products: the primal is scaled to integers
+    X over its common denominator P, each row to integers over its own
+    denominator, and the reduced costs c - sum_i y_i a_i to integers
+    over one common denominator K.
     """
     for j in range(model.n_vars):
         _require(model.lower[j] <= primal[j], "lower bound violated")
         _require(model.upper[j] is None or primal[j] <= model.upper[j],
                  "upper bound violated")
-    dual_obj = Fraction(0)
+    P = lcm(*(x.denominator for x in primal))
+    X = [x.numerator * (P // x.denominator) for x in primal]
+    priced = []  # (y, den, terms, b) of the rows with a nonzero dual
     for (coefficients, sense, rhs), y in zip(model.rows, duals):
-        lhs = sum(w * primal[j] for j, w in coefficients.items())
+        den = lcm(rhs.denominator,
+                  *(w.denominator for w in coefficients.values()))
+        terms = [(j, w.numerator * (den // w.denominator))
+                 for j, w in coefficients.items()]
+        b = rhs.numerator * (den // rhs.denominator)
+        # lhs and b * P are a.x and rhs, both times den * P
+        lhs = sum(w * X[j] for j, w in terms)
         if sense == ">=":
-            _require(lhs >= rhs, "row violated")
+            _require(lhs >= b * P, "row violated")
             _require(y >= 0, "dual sign")
         elif sense == "<=":
-            _require(lhs <= rhs, "row violated")
+            _require(lhs <= b * P, "row violated")
             _require(y <= 0, "dual sign")
         else:
-            _require(lhs == rhs, "equality row violated")
-        _require(y == 0 or lhs == rhs, "complementary slackness (rows)")
-        dual_obj += y * rhs
-    for j in range(model.n_vars):
-        d = model.objective[j]
-        for (coefficients, _, _), y in zip(model.rows, duals):
-            if y and j in coefficients:
-                d -= y * coefficients[j]
+            _require(lhs == b * P, "equality row violated")
+        if y:
+            _require(lhs == b * P, "complementary slackness (rows)")
+            priced.append((y, den, terms, b))
+    K = lcm(*(y.denominator * den for y, den, _, _ in priced),
+            *(c.denominator for c in model.objective))
+    reduced = [c.numerator * (K // c.denominator) for c in model.objective]
+    dual_obj = 0  # y.rhs times K
+    for y, den, terms, b in priced:
+        u = y.numerator * (K // (y.denominator * den))  # y / den times K
+        dual_obj += u * b
+        for j, w in terms:
+            reduced[j] -= u * w
+    dual_obj *= P  # now times K * P
+    for j, d in enumerate(reduced):
         if d > 0:
             _require(primal[j] == model.lower[j], "reduced cost sign at lower")
-            dual_obj += d * model.lower[j]
         elif d < 0:
             _require(
                 model.upper[j] is not None and primal[j] == model.upper[j],
                 "reduced cost sign at upper",
             )
-            dual_obj += d * model.upper[j]
-    _require(dual_obj == objective_value, "strong duality gap")
-
-
-def _upper_point_feasible(model):
-    """True when every variable has a finite upper bound and the
-    all-upper-bounds point satisfies every row; lets the solver start
-    on a slack basis with no phase 1.  Cut LPs over the [0,1] box hit
-    this constantly: valid cuts hold at the all-ones point."""
-    if any(ub is None for ub in model.upper):
-        return False
-    for coefficients, sense, rhs in model.rows:
-        lhs = sum(w * model.upper[j] for j, w in coefficients.items())
-        if sense == ">=" and lhs < rhs:
-            return False
-        if sense == "<=" and lhs > rhs:
-            return False
-        if sense == "=" and lhs != rhs:
-            return False
-    return True
+        # the primal sits on the bound that the term needs
+        dual_obj += d * X[j]
+    _require(dual_obj * objective_value.denominator
+             == objective_value.numerator * K * P, "strong duality gap")
 
 
 def _solve_once(model):
     tab = _Tableau(model)
     artificials = range(tab.nv + tab.m, tab.ncols)
     if artificials:
-        phase1 = [Fraction(0)] * tab.ncols
+        phase1 = [0] * tab.ncols
         for j in artificials:
-            phase1[j] = Fraction(1)
+            phase1[j] = 1
         status = tab.run(phase1)
         assert status == "optimal", "phase 1 is bounded below by zero"
-        if sum(tab.xval[j] for j in artificials) > 0:
+        if not tab.artificials_at_zero():
             return LPSolution(
                 status="infeasible", primal=None, objective=None, duals=None
             )
         tab.drive_out_artificials()
-    cost = [Fraction(0)] * tab.ncols
-    for j in range(tab.nv):
-        cost[j] = model.objective[j]
+    cost = [0] * tab.ncols
+    cost[:tab.nv] = model.objective
     status = tab.run(cost)
     if status == "unbounded":
         return LPSolution(
             status="unbounded", primal=None, objective=None, duals=None
         )
-    primal = tuple(tab.xval[j] for j in range(tab.nv))
+    primal = tuple(tab.primal())
     objective_value = sum(
         model.objective[j] * primal[j] for j in range(tab.nv)
     )

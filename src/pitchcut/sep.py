@@ -19,6 +19,7 @@ from typing import NamedTuple
 from . import kernels, knapdp, ratlp
 from .core import (
     Inequality,
+    VerificationError,
     as_point,
     kc_inequality,
     make_inequality,
@@ -97,9 +98,10 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
 
     Checks the knapsack row first and returns it when violated.  Then
     solves the level-alpha subproblem for every distinct alpha =
-    (r_i+1)/q <= 1; every solution of value < 2 induces a violated cut,
-    and the most violated one wins (ties to the smallest alpha).  If
-    none, the subproblem at alpha = 1/q tests the pitch-1 family.
+    (r_i+1)/q <= 1; every solution of value < 2 induces a violated cut
+    (checked: VerificationError otherwise), and the most violated one
+    wins (ties to the smallest alpha).  If none, the subproblem at
+    alpha = 1/q tests the pitch-1 family.
     Otherwise the point is certified: in exact mode ybar = xbar itself,
     in fptas mode ybar_i = min(1, (1+e')/(1-e') xbar_i) with
     e' = eps/(2+eps), the tolerance the subproblems ran at.
@@ -135,7 +137,9 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
             continue
         cut = _line2_cut(inst, sol.chosen)
         gap = cut.violation(x)
-        assert gap > 0
+        if gap <= 0:
+            raise VerificationError(
+                "a level-alpha solution of value < 2 gave no violated cut")
         # ascending grid plus strict improvement: ties keep the smallest alpha
         if best is None or gap > best.violation:
             best = Violated(cut=cut, family=cut.family, violation=gap)
@@ -146,7 +150,9 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
     if sol.value < 2:
         cut = _pitch1_cut(inst, sol.chosen)
         gap = cut.violation(x)
-        assert gap > 0
+        if gap <= 0:
+            raise VerificationError(
+                "a level-1/q solution of value < 2 gave no violated pitch-1 cut")
         return Violated(cut=cut, family="pitch1", violation=gap)
 
     if mode == "exact":
@@ -160,7 +166,9 @@ def separate_kc(inst, xbar, mode="threshold-heuristic"):
 
     threshold-heuristic tries S = {i : xbar_i >= t} for every distinct
     coordinate value t plus t = 1/2, and S empty.  exhaustive scans all
-    2^n sets (n <= 20).  Returns the most violated Violated, or None;
+    2^n sets (n <= 20) in the kernel layer, and the kernel's score must
+    equal the violation of the cut it names (VerificationError
+    otherwise).  Returns the most violated Violated, or None;
     exhaustive ties go to the smallest set mask, heuristic ties to the
     earliest threshold tried.
     """
@@ -194,7 +202,9 @@ def separate_kc(inst, xbar, mode="threshold-heuristic"):
         S = [i for i in range(inst.n) if (mask >> i) & 1]
         cut = kc_inequality(inst, S)
         gap = cut.violation(x)
-        assert gap == Fraction(score, inst.q * X)
+        if gap != Fraction(score, inst.q * X):
+            raise VerificationError(
+                "the KC kernel's score differs from its cut's violation")
         return Violated(cut=cut, family="kc", violation=gap)
     raise ValueError("mode must be 'threshold-heuristic' or 'exhaustive'")
 

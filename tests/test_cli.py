@@ -242,6 +242,18 @@ def test_argparse_exits_pass_through(capsys):
     capsys.readouterr()
 
 
+def test_a_rejected_call_leaves_the_next_call_unchanged(worked_file, capsys):
+    # one parser serves every call; options that argparse took before it
+    # rejected a call must not reach the next call
+    valid = ["separate", worked_file, "--point", "0,0,0,1"]
+    alone = cli(valid), capsys.readouterr()
+    rejected = ["separate", worked_file, "--point", "1,1,1,1",
+                "--families", "kc", "--mode", "approx", "--eps", "0"]
+    assert cli(rejected) == 2
+    assert "--eps" in capsys.readouterr().err
+    assert (cli(valid), capsys.readouterr()) == alone
+
+
 def test_installed_entry_point():
     exe = shutil.which("pitchcut")
     if exe is None:

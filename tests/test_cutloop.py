@@ -188,7 +188,7 @@ def test_run_values_climb_and_cuts_are_valid():
 
 _SUMMARY = """\
 from fractions import Fraction as F
-from pitchcut import core, cutloop, gaplab, ratlp
+from pitchcut import core, cutloop, gaplab, kernels, ratlp, sep
 inst = gaplab.gen_lemma4(9).normalize()
 config = cutloop.LoopConfig(families=frozenset({"kc", "p12"}))
 report = cutloop.run(inst, config)
@@ -206,6 +206,16 @@ try:  # x1 >= 1 cuts off the cover {x2, x3}
         core.make_inequality({0: F(1)}, F(1), "user"))
 except core.VerificationError:
     rejected.append("cut")
+best_subset = kernels.kc_best_subset
+def inflated(*args):
+    score, mask = best_subset(*args)
+    return score + 1, mask
+kernels.kc_best_subset = inflated
+try:  # a KC kernel score one above its cut's violation
+    sep.separate_kc(halves, (F(0),) * 3, mode="exhaustive")
+except core.VerificationError:
+    rejected.append("kc")
+kernels.kc_best_subset = best_subset
 print(__debug__, report.final_lp, report.reason, report.iterations,
       sorted(report.cut_counts.items()), rejected)
 """
@@ -225,5 +235,6 @@ def test_run_is_unchanged_under_python_O(capsys):
     debug, summary = proc.stdout.split(" ", 1)
     assert debug == "False"
     assert summary == here
-    # the LP certificate and the cut pool check both still reject
-    assert summary.endswith(" ['lp', 'cut']\n")
+    # the LP certificate, the cut pool check and the KC kernel check
+    # all still reject
+    assert summary.endswith(" ['lp', 'cut', 'kc']\n")

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pitchcut import gaplab, ratlp
+from pitchcut.core import VerificationError
 
 F = Fraction
 
@@ -158,12 +159,112 @@ def random_model(rng):
     return model
 
 
+def fractional_bound_model(rng):
+    # bounds in thirds and halves, so the bound scale L is 6, not 1 or 2
+    model = ratlp.LPModel()
+    n = rng.randint(1, 6)
+    for _ in range(n):
+        lb = rng.choice([F(-1, 3), F(0), F(1, 3), F(1, 2)])
+        ub = rng.choice([None, F(1, 2), F(2, 3), F(1), F(3, 2)])
+        if ub is not None and ub < lb:
+            ub = lb
+        model.add_var(lb=lb, ub=ub, obj=F(rng.randint(-6, 6), 3))
+    for _ in range(rng.randint(0, 5)):
+        coefficients = {
+            j: F(rng.randint(-4, 4), rng.choice([1, 2, 3]))
+            for j in range(n) if rng.random() < 0.7
+        }
+        if not coefficients:
+            continue
+        sense = rng.choice([">=", ">=", "<=", "="])
+        model.add_row(coefficients, sense, F(rng.randint(-3, 6), 3))
+    return model
+
+
+def seeded_models(seed, count):
+    # the two generators in turn
+    rng = random.Random(seed)
+    for k in range(count):
+        yield (random_model if k % 2 else fractional_bound_model)(rng)
+
+
+def kkt_holds(model, primal, duals, objective_value):
+    # the KKT conditions term by term in Fractions, the reference for
+    # the verifier's integer sums
+    for j in range(model.n_vars):
+        if primal[j] < model.lower[j]:
+            return False
+        if model.upper[j] is not None and primal[j] > model.upper[j]:
+            return False
+    dual_obj = F(0)
+    for (coefficients, sense, rhs), y in zip(model.rows, duals):
+        lhs = sum(w * primal[j] for j, w in coefficients.items())
+        if sense == ">=" and (lhs < rhs or y < 0):
+            return False
+        if sense == "<=" and (lhs > rhs or y > 0):
+            return False
+        if (sense == "=" or y) and lhs != rhs:
+            return False
+        dual_obj += y * rhs
+    for j in range(model.n_vars):
+        d = model.objective[j] - sum(
+            y * coefficients.get(j, 0)
+            for (coefficients, _, _), y in zip(model.rows, duals))
+        if d > 0:
+            if primal[j] != model.lower[j]:
+                return False
+            dual_obj += d * model.lower[j]
+        elif d < 0:
+            if model.upper[j] is None or primal[j] != model.upper[j]:
+                return False
+            dual_obj += d * model.upper[j]
+    return dual_obj == objective_value
+
+
+def test_verifier_agrees_with_the_kkt_conditions():
+    # optimal certificates, and the same with one dual, one primal
+    # entry (objective kept consistent) or the objective moved
+    rng = random.Random(35)
+    verdicts = {True: 0, False: 0}
+    for model in seeded_models(35, 400):
+        solution = ratlp.solve_lp(model)
+        if solution.status != "optimal":
+            continue
+        for change in ("none", "dual", "primal", "objective"):
+            primal = list(solution.primal)
+            duals = list(solution.duals)
+            objective = solution.objective
+            step = F(rng.choice([-1, 1]), rng.choice([1, 2, 3]))
+            if change == "dual" and duals:
+                duals[rng.randrange(len(duals))] += step
+            elif change == "primal":
+                j = rng.randrange(len(primal))
+                primal[j] += step
+                objective += model.objective[j] * step
+            elif change == "objective":
+                objective += step
+            expected = kkt_holds(model, primal, duals, objective)
+            try:
+                ratlp._verify_optimal(model, tuple(primal), tuple(duals),
+                                      objective)
+                accepted = True
+            except VerificationError:
+                accepted = False
+            assert accepted == expected
+            verdicts[accepted] += 1
+    assert all(verdicts.values())
+    # a wrong dual sign that no other condition notices
+    model = ratlp.LPModel()
+    x = model.add_var(lb=0, ub=1)
+    model.add_row({x: F(1)}, ">=", F(0))
+    with pytest.raises(VerificationError, match="dual sign"):
+        ratlp._verify_optimal(model, (F(0),), (F(-1),), F(0))
+
+
 def test_against_float_solver():
     scipy_optimize = pytest.importorskip("scipy.optimize")
-    rng = random.Random(31)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(120):
-        model = random_model(rng)
+    for model in seeded_models(31, 240):
         exact = ratlp.solve_lp(model)
         statuses[exact.status] += 1
         a_ub, b_ub, a_eq, b_eq = [], [], [], []
@@ -203,8 +304,8 @@ def test_upper_bound_start_agrees_with_phase_one(monkeypatch):
     checked = 0
     while checked < 25:
         model = random_model(rng)
-        if not ratlp._upper_point_feasible(model):
-            continue
+        if not all(ratlp._Tableau(model).at_upper[:model.n_vars]):
+            continue  # not an upper-bound start
         fast = ratlp.solve_lp(model)
         twin = ratlp.LPModel()
         twin.lower = list(model.lower)
@@ -212,7 +313,8 @@ def test_upper_bound_start_agrees_with_phase_one(monkeypatch):
         twin.objective = list(model.objective)
         twin.rows = list(model.rows)
         with monkeypatch.context() as patch:
-            patch.setattr(ratlp, "_upper_point_feasible", lambda m: False)
+            patch.setattr(ratlp, "_upper_residuals", lambda *args: None)
+            assert not any(ratlp._Tableau(twin).at_upper)
             slow = ratlp.solve_lp(twin)
         assert fast.status == slow.status == "optimal"
         assert fast.objective == slow.objective
@@ -222,16 +324,37 @@ def test_upper_bound_start_agrees_with_phase_one(monkeypatch):
 def test_tableau_invariants_hold_at_every_exit(monkeypatch):
     # the reduced-cost row is maintained through pivots, never recomputed;
     # check it against c - c_B^T T from scratch at every run's exit,
-    # together with the integer rows' normal form and unit basic columns
+    # together with the integer rows' normal form and unit basic columns.
+    # The point is carried in the value column and the at_upper flags:
+    # rebuilt in Fractions, it puts every nonbasic column on the bound
+    # its flag names and every basic one within its bounds, and it
+    # satisfies every model row with its slack and artificial exactly
     exits = {"optimal": 0, "unbounded": 0}
-    run = ratlp._Tableau.run
+    models = {}
+    scales = set()
+    init, run = ratlp._Tableau.__init__, ratlp._Tableau.run
+
+    def recorded_init(tableau, model):
+        init(tableau, model)
+        # the artificial of each row that starts with one, and its sign
+        # in that row
+        artificials = {}
+        for i, basic in enumerate(tableau.basis):
+            if tableau.is_artificial(basic):
+                sign = tableau.T[i][tableau.nv + i] // (
+                    tableau.slack_sign[i] * tableau.D[i])
+                artificials[i] = basic, sign
+        models[tableau] = model, artificials
 
     def checked_run(tableau, cost):
         status = run(tableau, cost)
         exits[status] += 1
-        rows = [[F(w, den) for w in row]
+        ncols, scale = tableau.ncols, tableau.L
+        scales.add(scale)
+        rows = [[F(w, den) for w in row[:ncols]]
                 for row, den in zip(tableau.T, tableau.D)]
         for i, (row, den) in enumerate(zip(tableau.T, tableau.D)):
+            assert len(row) == ncols + 1
             assert den > 0
             assert math.gcd(den, *row) == 1
             for k, basic in enumerate(tableau.basis):
@@ -239,17 +362,50 @@ def test_tableau_invariants_hold_at_every_exit(monkeypatch):
         scratch = [
             cost[j] - sum(cost[basic] * row[j]
                           for basic, row in zip(tableau.basis, rows))
-            for j in range(tableau.ncols)
+            for j in range(ncols)
         ]
         assert tableau.dden > 0
+        assert len(tableau.d) == ncols
         assert math.gcd(tableau.dden, *tableau.d) == 1
         assert [F(w, tableau.dden) for w in tableau.d] == scratch
+
+        model, artificials = models[tableau]
+        nv, m = model.n_vars, len(model.rows)
+        lower = list(model.lower) + [F(0)] * (ncols - nv)
+        upper = list(model.upper) + [
+            F(0) if sense == "=" else None for _, sense, _ in model.rows
+        ] + [F(tableau.up[j], scale) if tableau.up[j] is not None else None
+             for j in range(nv + m, ncols)]
+        x = []
+        for j in range(ncols):
+            if tableau.at_upper[j]:
+                assert tableau.up[j] is not None
+                x.append(F(tableau.up[j], scale))
+            else:
+                x.append(F(tableau.lo[j], scale))
+        for i, basic in enumerate(tableau.basis):
+            x[basic] = F(tableau.T[i][ncols], scale * tableau.D[i])
+        basics = set(tableau.basis)
+        for j in range(ncols):
+            if j in basics:
+                assert lower[j] <= x[j]
+                assert upper[j] is None or x[j] <= upper[j]
+            else:
+                assert x[j] == (upper[j] if tableau.at_upper[j] else lower[j])
+        for i, (coefficients, _, rhs) in enumerate(model.rows):
+            lhs = sum(w * x[j] for j, w in coefficients.items())
+            lhs += tableau.slack_sign[i] * x[nv + i]
+            if i in artificials:
+                artificial, sign = artificials[i]
+                lhs += sign * x[artificial]
+            assert lhs == rhs
         return status
 
+    monkeypatch.setattr(ratlp._Tableau, "__init__", recorded_init)
     monkeypatch.setattr(ratlp._Tableau, "run", checked_run)
-    rng = random.Random(33)
     statuses = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    for _ in range(300):
-        statuses[ratlp.solve_lp(random_model(rng)).status] += 1
+    for model in seeded_models(33, 600):
+        statuses[ratlp.solve_lp(model).status] += 1
     assert all(statuses.values())
     assert all(exits.values())
+    assert scales - {1, 2}  # fractional_bound_model's thirds reach L = 6
