@@ -41,6 +41,13 @@ class VerificationError(KnapsackError):
     separator's violated cut, the KC kernel's score or a rounding
     guarantee.
 
+    In sep: a pitch-1/2 hit with no positive violation, a level-alpha
+    solution leaving beta(I) <= 0 (_line2_split), a returned cut whose
+    Fraction violation differs from its integer score (_violated, for
+    pitch-1/2 and both KC modes), or a fixed-support LP that does not
+    end optimal.  In gaplab: the witness checks of the lemma-4 point
+    (_check_lemma4_point) and of the wild instance's cuts (_check_wild).
+
     Any occurrence is a bug in pitchcut, never a property of the input.
     """
 
@@ -244,6 +251,16 @@ def as_point(values, n):
         if v < 0 or v > 1:
             raise ValueError("coordinate %s outside [0,1]" % (v,))
     return x
+
+
+def scaled_point(x):
+    """Scale exact rationals to integers over one denominator.
+
+    Returns (a, X) with X the lcm of the denominators (1 when x is
+    empty) and x_i = a_i / X for every i.
+    """
+    X = lcm(*(v.denominator for v in x))
+    return [v.numerator * (X // v.denominator) for v in x], X
 
 
 def compute_pitch(ineq):

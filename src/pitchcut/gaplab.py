@@ -27,6 +27,7 @@ from typing import Optional
 from . import cutloop, knapdp, sep
 from .core import (
     Instance,
+    VerificationError,
     compute_pitch,
     is_valid,
     make_inequality,
@@ -264,17 +265,22 @@ def _row_from_report(family, n, params, report, ms):
 
 def _check_lemma4_point(inst, n):
     """The quoted gap needs the paper point inside the pitch-1 closure;
-    check that before trusting the row."""
+    check that before trusting the row (VerificationError otherwise)."""
     point = inst.from_input_order(lemma4_point(n))
-    assert natural_row(inst).lhs(point) >= 1
+    if natural_row(inst).lhs(point) < 1:
+        raise VerificationError("the lemma-4 point violates the knapsack row")
     if inst.n <= 20:
         for cut in sep.enumerate_pitch1(inst):
-            assert cut.lhs(point) >= cut.rhs
+            if cut.lhs(point) < cut.rhs:
+                raise VerificationError(
+                    "the lemma-4 point violates a pitch-1 cut")
     else:
         # exact covering value at the lowest grid level is >= 2 exactly
         # when every pitch-1 inequality holds at the point
         probe = knapdp.solve_Palpha(inst, point, Fraction(1, inst.q))
-        assert probe.value >= 2
+        if probe.value < 2:
+            raise VerificationError(
+                "the lemma-4 point violates a pitch-1 cut")
 
 
 def _run_lemma4(n, eps, max_iter):
@@ -302,15 +308,19 @@ WILD_CG_FACET = ((1, 1, 2, 3, 4, 3, 4), 8)
 
 def _check_wild(inst):
     """The two hand-derived valid inequalities for the 7-item instance:
-    a pitch-3 cut and an inverted facet of the integer hull."""
+    a pitch-3 cut and an inverted facet of the integer hull
+    (VerificationError when either fails)."""
     w3, rhs3 = WILD_PITCH3
     cut3 = make_inequality({i: w for i, w in enumerate(w3) if w}, rhs3,
                            "user")
-    assert is_valid(cut3, inst) and compute_pitch(cut3) == 3
+    if not (is_valid(cut3, inst) and compute_pitch(cut3) == 3):
+        raise VerificationError(
+            "the wild pitch-3 cut is not a valid pitch-3 cut")
     wf, rhsf = WILD_CG_FACET
     cutf = make_inequality({i: w for i, w in enumerate(wf) if w}, rhsf,
                            "user")
-    assert is_valid(cutf, inst)
+    if not is_valid(cutf, inst):
+        raise VerificationError("the wild facet cut is not valid")
 
 
 def _run_wild(max_iter):

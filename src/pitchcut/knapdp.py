@@ -5,17 +5,29 @@ satisfying the integer cover constraint sum r_i z_i >= need.  The exact
 solver runs the pseudo-polynomial DP over profit states and refuses to
 build tables beyond the cell budget; the FPTAS rounds costs and runs a
 DP over cost states, so its table size depends on n and 1/eps only.
+
+Each DP has one integer core, _min_cover and _fptas_cover, over
+integer objectives; their answers are integers over the caller's
+denominator.  _exact_cover, solve_exact, solve_fptas and solve_Palpha
+are Fraction edges: they scale the objective or the point once
+(core.scaled_point) and divide the answer back.  _level_cover builds
+the level-alpha objective for both solve_Palpha and
+sep.separate_pitch12.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
 from . import kernels
-from .core import BudgetExceededError, InfeasibleInstanceError, as_point
+from .core import (
+    BudgetExceededError,
+    InfeasibleInstanceError,
+    as_point,
+    scaled_point,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -52,23 +64,28 @@ def _check_budget(cells, budget):
         )
 
 
-def _exact_cover(r, objective, need, budget):
-    """Exact minimum of a rational objective under sum r_i z_i >= need."""
+def _min_cover(r, obj, need, budget):
+    """Exact minimum of an integer objective under sum r_i z_i >= need."""
     if need <= 0:
-        return Fraction(0), ()
+        return 0, ()
     _check_budget((len(r) + 1) * (need + 1), budget)
-    D = lcm(*(v.denominator for v in objective)) if objective else 1
-    scaled = [int(v * D) for v in objective]
-    value, chosen = kernels.min_cover_solve(r, scaled, need)
+    value, chosen = kernels.min_cover_solve(r, obj, need)
     if value is None:
         raise InfeasibleInstanceError(
             "total profit %d cannot reach %d" % (sum(r), need)
         )
+    return value, chosen
+
+
+def _exact_cover(r, objective, need, budget):
+    """Exact minimum of a rational objective under sum r_i z_i >= need."""
+    scaled, D = scaled_point(objective)
+    value, chosen = _min_cover(r, scaled, need, budget)
     return Fraction(value, D), chosen
 
 
 def _fptas_cover(r, costs, need, eps, budget):
-    """(1+eps)-approximate minimum under sum r_i z_i >= need.
+    """(1+eps)-approximate minimum of integer costs under sum r_i z_i >= need.
 
     Zero-cost items are taken up front (they can only help coverage).
     The rest runs a guess loop on the optimal value v: costs are rounded
@@ -76,9 +93,15 @@ def _fptas_cover(r, costs, need, eps, budget):
     cost states 0..B with B = ceil(2m/eps) + m looks for the cheapest
     state covering the residual need, and the guess doubles until one is
     found.  The first hit costs at most (1+eps) times the optimum.
+
+    Rounding is invariant under scaling the costs, so rational costs run
+    here as integers over a common denominator and the returned value is
+    an integer over that same denominator.  The guess v = gn/gd is kept
+    as an integer pair, so each rounded cost ceil(c_i/delta) is one
+    integer floor division.
     """
     if need <= 0:
-        return Fraction(0), ()
+        return 0, ()
     n = len(r)
     taken = []
     cover = 0
@@ -87,7 +110,7 @@ def _fptas_cover(r, costs, need, eps, budget):
             taken.append(i)
             cover += r[i]
     if cover >= need:
-        return Fraction(0), tuple(taken)
+        return 0, tuple(taken)
     residual = need - cover
     # paying items with zero profit never help
     paying = [i for i in range(n) if costs[i] > 0 and r[i] > 0]
@@ -95,33 +118,55 @@ def _fptas_cover(r, costs, need, eps, budget):
         raise InfeasibleInstanceError(
             "total profit cannot reach the cover target"
         )
-    # fractional greedy by density is the LP bound, hence <= OPT
+    # fractional greedy by density c_i/r_i is the LP bound, hence <= OPT;
+    # R/r_i is an integer, so c_i*(R/r_i) keys the exact density order
+    R = lcm(*(r[i] for i in paying))
     acc = 0
-    lb = Fraction(0)
-    for i in sorted(paying, key=lambda i: (Fraction(costs[i], r[i]), i)):
+    spent = 0
+    for i in sorted(paying, key=lambda i: (costs[i] * (R // r[i]), i)):
         if acc + r[i] >= residual:
-            lb += costs[i] * Fraction(residual - acc, r[i])
+            gn = spent * r[i] + costs[i] * (residual - acc)
+            gd = r[i]
             break
         acc += r[i]
-        lb += costs[i]
+        spent += costs[i]
     total = sum(costs[i] for i in paying)
     m = len(paying)
-    B = math.ceil(Fraction(2 * m) / eps) + m
+    en, ed = eps.numerator, eps.denominator
+    B = -(-2 * m * ed // en) + m
     _check_budget((m + 1) * (B + 1), budget)
     sub_r = [r[i] for i in paying]
-    guess = lb
+    sub_c = [costs[i] for i in paying]
     while True:
-        delta = eps * guess / (2 * m)
-        rounded = [math.ceil(costs[i] / delta) for i in paying]
+        # ceil(c / delta) with delta = eps*gn / (2m*gd)
+        num = 2 * m * ed * gd
+        den = en * gn
+        rounded = [-(-c * num // den) for c in sub_c]
         reach, chosen_sub = kernels.max_profit_solve(rounded, sub_r, B, residual)
         if reach is not None:
             picked = [paying[k] for k in chosen_sub]
             value = sum(costs[i] for i in picked)
             return value, tuple(sorted(taken + picked))
-        if guess >= total:
+        if gn >= total * gd:
             # at guess = total every rounded cost fits inside B
             raise AssertionError("guess loop exhausted without a cover")
-        guess = min(2 * guess, total)
+        if 2 * gn >= total * gd:
+            gn, gd = total, 1
+        else:
+            gn *= 2
+
+
+def _level_cover(inst, a, num, base, mode, eps, budget):
+    """The level-alpha subproblem, alpha = num/q, at the point a/X.
+
+    The objective is a_i, doubled on items with p_i >= alpha (r_i >=
+    num), and the cover need is base + num with base = sum(r) - q.
+    Returns (value, chosen) with value an integer over X.
+    """
+    obj = [ai if ri < num else 2 * ai for ri, ai in zip(inst.r, a)]
+    if mode == "exact":
+        return _min_cover(inst.r, obj, base + num, budget)
+    return _fptas_cover(inst.r, obj, base + num, eps, budget)
 
 
 def solve_exact(inst, objective, budget=None):
@@ -137,15 +182,23 @@ def solve_exact(inst, objective, budget=None):
     return KnapSolution(value=value, chosen=chosen, mode="exact")
 
 
-def solve_fptas(inst, objective, eps, budget=None):
-    """Feasible solution with objective value at most (1+eps) optimal."""
-    budget = DEFAULT_BUDGET if budget is None else budget
+def _coerce_eps(eps):
+    if eps is None:
+        raise ValueError("fptas mode needs eps")
     eps = Fraction(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
-    obj = _coerce_objective(objective, inst.n)
-    value, chosen = _fptas_cover(inst.r, obj, inst.q, eps, budget)
-    return KnapSolution(value=value, chosen=chosen, mode="fptas", eps=eps)
+    return eps
+
+
+def solve_fptas(inst, objective, eps, budget=None):
+    """Feasible solution with objective value at most (1+eps) optimal."""
+    budget = DEFAULT_BUDGET if budget is None else budget
+    eps = _coerce_eps(eps)
+    costs, D = scaled_point(_coerce_objective(objective, inst.n))
+    value, chosen = _fptas_cover(inst.r, costs, inst.q, eps, budget)
+    return KnapSolution(value=Fraction(value, D), chosen=chosen,
+                        mode="fptas", eps=eps)
 
 
 def solve_Palpha(inst, xbar, alpha, mode="exact", eps=None, budget=None):
@@ -163,20 +216,12 @@ def solve_Palpha(inst, xbar, alpha, mode="exact", eps=None, budget=None):
     r_alpha = alpha * inst.q
     if r_alpha.denominator != 1:
         raise ValueError("alpha must be an integer multiple of 1/q")
-    x = as_point(xbar, inst.n)
-    obj = [
-        x[i] if inst.profits[i] < alpha else 2 * x[i] for i in range(inst.n)
-    ]
-    need = sum(inst.r) - inst.q + int(r_alpha)
-    if mode == "exact":
-        value, chosen = _exact_cover(inst.r, obj, need, budget)
-        return KnapSolution(value=value, chosen=chosen, mode="exact")
+    if mode not in ("exact", "fptas"):
+        raise ValueError("mode must be 'exact' or 'fptas'")
     if mode == "fptas":
-        if eps is None:
-            raise ValueError("fptas mode needs eps")
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
-        value, chosen = _fptas_cover(inst.r, obj, need, eps, budget)
-        return KnapSolution(value=value, chosen=chosen, mode="fptas", eps=eps)
-    raise ValueError("mode must be 'exact' or 'fptas'")
+        eps = _coerce_eps(eps)
+    a, X = scaled_point(as_point(xbar, inst.n))
+    value, chosen = _level_cover(inst, a, int(r_alpha),
+                                 sum(inst.r) - inst.q, mode, eps, budget)
+    return KnapSolution(value=Fraction(value, X), chosen=chosen, mode=mode,
+                        eps=eps if mode == "fptas" else None)

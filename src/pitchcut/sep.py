@@ -7,13 +7,25 @@ then the pitch-1 test at alpha = 1/q, then certification.  The rest of
 the module provides knapsack-cover separation, the fixed-support LP
 with massive-set row generation, brute-force enumerators for small n,
 and the conic dominance test used to reproduce implication arguments.
+
+Pitch-1/2 and knapsack-cover separation run on an integer core with a
+Fraction edge: the point is scaled once to integers a over one
+denominator X (core.scaled_point), and every level-alpha subproblem,
+every candidate cut's score and every comparison between candidates
+is integer arithmetic on inst.r, inst.q, a and X.  Fractions appear
+only in the answer: the winning cut, its violation and ybar.
+
+The self-checks raise VerificationError, also under python -O: a
+subproblem hit whose cut is not violated or whose beta(I) is not
+positive (_line2_split), a built cut whose violation differs from its
+integer score (_violated; this also checks the exhaustive KC kernel),
+and a fixed-support LP that does not end optimal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from typing import NamedTuple
 
 from . import kernels, knapdp, ratlp
@@ -24,7 +36,7 @@ from .core import (
     kc_inequality,
     make_inequality,
     natural_row,
-    pitch2_canonical,
+    scaled_point,
 )
 
 
@@ -73,24 +85,45 @@ def _pitch1_cut(inst, members):
     )
 
 
+def _line2_split(inst, chosen, base):
+    """Integer coefficients, rhs and family of the cut induced by I = chosen.
+
+    beta(I) = bq/q with bq = sum_{i in I} r_i - base, base = sum(r) - q.
+    The canonical pitch-2 cut puts 1 on I1 = {i in I : r_i < bq} and 2
+    on the rest, rhs 2; when the split degenerates (singleton I, or I1
+    empty) it is the pitch-1 cut on the positive-profit members, rhs 1.
+    """
+    bq = sum(inst.r[i] for i in chosen) - base
+    # the cover constraint of the subproblem leaves beta(I) >= alpha > 0
+    if bq <= 0:
+        raise VerificationError(
+            "a level-alpha solution left beta(I) = %s, not positive"
+            % (Fraction(bq, inst.q),))
+    if len(chosen) >= 2 and any(inst.r[i] < bq for i in chosen):
+        coefficients = {i: 1 if inst.r[i] < bq else 2 for i in chosen}
+        return coefficients, 2, "pitch2-canonical"
+    return {i: 1 for i in chosen if inst.r[i] > 0}, 1, "pitch1"
+
+
 def _line2_cut(inst, chosen):
     """Cut induced by a subproblem solution I with objective value < 2.
 
-    Recomputes beta(I) and splits at it.  When the split degenerates
-    (singleton I, or no member below beta(I)) the doubled objective
-    already forces sum over I of xbar below 1, so the plain pitch-1 cut
-    on I is violated; zero-profit members are dropped from its support.
+    Splits I at beta(I) (see _line2_split).  When the split degenerates
+    the doubled objective already forces sum over I of xbar below 1, so
+    the plain pitch-1 cut on I is violated; zero-profit members are
+    dropped from its support.
     """
-    inside = set(chosen)
-    betaI = Fraction(1) - sum(
-        inst.profits[i] for i in range(inst.n) if i not in inside
-    )
-    # the cover constraint of the subproblem leaves beta(I) >= alpha > 0
-    assert betaI > 0
-    I1 = [i for i in chosen if inst.profits[i] < betaI]
-    if len(chosen) >= 2 and I1:
-        return pitch2_canonical(inst, chosen)
-    return _pitch1_cut(inst, chosen)
+    return make_inequality(*_line2_split(inst, chosen, sum(inst.r) - inst.q))
+
+
+def _violated(cut, x, gap, scale):
+    """Violated for cut, whose violation at x must be exactly gap/scale."""
+    violation = cut.violation(x)
+    if violation != Fraction(gap, scale):
+        raise VerificationError(
+            "a %s cut's violation %s differs from its integer score %s/%s"
+            % (cut.family, violation, gap, scale))
+    return Violated(cut=cut, family=cut.family, violation=violation)
 
 
 def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
@@ -105,55 +138,62 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
     Otherwise the point is certified: in exact mode ybar = xbar itself,
     in fptas mode ybar_i = min(1, (1+e')/(1-e') xbar_i) with
     e' = eps/(2+eps), the tolerance the subproblems ran at.
+
+    The point is scaled once to integers a over one denominator X, and
+    every level, every candidate cut's violation (an integer over X)
+    and the comparison between candidates run in integers.  Only the
+    winning cut is built as an Inequality, and its Fraction violation
+    must equal its integer score (VerificationError otherwise).
     """
     if mode not in ("exact", "fptas"):
         raise ValueError("mode must be 'exact' or 'fptas'")
     eps_prime = None
     if mode == "fptas":
-        if eps is None:
-            raise ValueError("fptas mode needs eps")
-        eps = Fraction(eps)
-        if eps <= 0:
-            raise ValueError("eps must be positive")
+        eps = knapdp._coerce_eps(eps)
         eps_prime = eps / (2 + eps)
+    budget = knapdp.DEFAULT_BUDGET if budget is None else budget
     x = as_point(xbar, inst.n)
+    a, X = scaled_point(x)
+    r, q = inst.r, inst.q
 
-    row = natural_row(inst)
-    gap = row.violation(x)
+    # the knapsack row p.x >= 1 is sum r_i a_i >= q X
+    gap = q * X - sum(ri * ai for ri, ai in zip(r, a))
     if gap > 0:
-        return Violated(cut=row, family=row.family, violation=gap)
+        return _violated(natural_row(inst), x, gap, q * X)
 
-    def subproblem(alpha):
-        return knapdp.solve_Palpha(
-            inst, x, alpha, mode=mode, eps=eps_prime, budget=budget
-        )
+    base = sum(r) - q
+
+    def subproblem(num):
+        value, chosen = knapdp._level_cover(
+            inst, a, num, base, mode, eps_prime, budget)
+        # a solution of value < 2 gives a cut; value is over X
+        return chosen if value < 2 * X else None
 
     best = None
-    grid = sorted({ri + 1 for ri in inst.r if ri + 1 <= inst.q})
-    for numerator in grid:
-        alpha = Fraction(numerator, inst.q)
-        sol = subproblem(alpha)
-        if sol.value >= 2:
+    best_gap = 0
+    grid = sorted({ri + 1 for ri in r if ri + 1 <= q})
+    for num in grid:
+        chosen = subproblem(num)
+        if chosen is None:
             continue
-        cut = _line2_cut(inst, sol.chosen)
-        gap = cut.violation(x)
+        coefficients, rhs, _ = _line2_split(inst, chosen, base)
+        gap = rhs * X - sum(w * a[i] for i, w in coefficients.items())
         if gap <= 0:
             raise VerificationError(
                 "a level-alpha solution of value < 2 gave no violated cut")
         # ascending grid plus strict improvement: ties keep the smallest alpha
-        if best is None or gap > best.violation:
-            best = Violated(cut=cut, family=cut.family, violation=gap)
+        if gap > best_gap:
+            best, best_gap = chosen, gap
     if best is not None:
-        return best
+        return _violated(_line2_cut(inst, best), x, best_gap, X)
 
-    sol = subproblem(Fraction(1, inst.q))
-    if sol.value < 2:
-        cut = _pitch1_cut(inst, sol.chosen)
-        gap = cut.violation(x)
+    chosen = subproblem(1)
+    if chosen is not None:
+        gap = X - sum(a[i] for i in chosen if r[i] > 0)
         if gap <= 0:
             raise VerificationError(
                 "a level-1/q solution of value < 2 gave no violated pitch-1 cut")
-        return Violated(cut=cut, family="pitch1", violation=gap)
+        return _violated(_pitch1_cut(inst, chosen), x, gap, X)
 
     if mode == "exact":
         return Certified(ybar=x)
@@ -166,46 +206,48 @@ def separate_kc(inst, xbar, mode="threshold-heuristic"):
 
     threshold-heuristic tries S = {i : xbar_i >= t} for every distinct
     coordinate value t plus t = 1/2, and S empty.  exhaustive scans all
-    2^n sets (n <= 20) in the kernel layer, and the kernel's score must
-    equal the violation of the cut it names (VerificationError
-    otherwise).  Returns the most violated Violated, or None;
-    exhaustive ties go to the smallest set mask, heuristic ties to the
-    earliest threshold tried.
+    2^n sets (n <= 20) in the kernel layer.  Both score a set S as an
+    integer over q X, with a, X = scaled_point(xbar) and residual bq =
+    q - sum_{i in S} r_i > 0: bq X - sum_{i not in S} min(r_i, bq) a_i.
+    Only the winner's cut is built, and its violation must equal its
+    score (VerificationError otherwise).  Returns the most violated
+    Violated, or None; exhaustive ties go to the smallest set mask,
+    heuristic ties to the earliest threshold tried.
     """
     x = as_point(xbar, inst.n)
+    a, X = scaled_point(x)
+    r, q = inst.r, inst.q
     if mode == "threshold-heuristic":
+        # thresholds t = a_i / X and 1/2, as integers over 2X
         candidates = [frozenset()]
         seen = {frozenset()}
-        for t in sorted(set(x) | {Fraction(1, 2)}):
-            S = frozenset(i for i in range(inst.n) if x[i] >= t)
+        for t in sorted({2 * ai for ai in a} | {X}):
+            S = frozenset(i for i in range(inst.n) if 2 * a[i] >= t)
             if S not in seen:
                 seen.add(S)
                 candidates.append(S)
         best = None
+        best_score = 0
         for S in candidates:
-            beta = Fraction(1) - sum(inst.profits[i] for i in S)
-            if beta <= 0:
+            bq = q - sum(r[i] for i in S)
+            if bq <= 0:
                 continue
-            cut = kc_inequality(inst, S)
-            gap = cut.violation(x)
-            if gap > 0 and (best is None or gap > best.violation):
-                best = Violated(cut=cut, family="kc", violation=gap)
-        return best
+            score = bq * X - sum(
+                (r[i] if r[i] < bq else bq) * a[i]
+                for i in range(inst.n) if i not in S)
+            if score > best_score:
+                best, best_score = S, score
+        if best is None:
+            return None
+        return _violated(kc_inequality(inst, best), x, best_score, q * X)
     if mode == "exhaustive":
         if inst.n > 20:
             raise ValueError("exhaustive KC separation is limited to n <= 20")
-        X = lcm(*(v.denominator for v in x)) if x else 1
-        a = [int(v * X) for v in x]
-        score, mask = kernels.kc_best_subset(inst.r, a, X, inst.q)
+        score, mask = kernels.kc_best_subset(r, a, X, q)
         if score <= 0:
             return None
         S = [i for i in range(inst.n) if (mask >> i) & 1]
-        cut = kc_inequality(inst, S)
-        gap = cut.violation(x)
-        if gap != Fraction(score, inst.q * X):
-            raise VerificationError(
-                "the KC kernel's score differs from its cut's violation")
-        return Violated(cut=cut, family="kc", violation=gap)
+        return _violated(kc_inequality(inst, S), x, score, q * X)
     raise ValueError("mode must be 'threshold-heuristic' or 'exhaustive'")
 
 
@@ -277,7 +319,9 @@ def separate_fixed_support(inst, xbar, I, pitch_limit=None, budget=None):
         return fresh
 
     solution = ratlp.solve_lp(model, rows)
-    assert solution.status == "optimal"  # alpha = 2 on all of I is feasible
+    if solution.status != "optimal":  # alpha = 2 on all of I is feasible
+        raise VerificationError(
+            "the fixed-support LP ended %s, not optimal" % solution.status)
     alpha = {i: solution.primal[position[i]] for i in I}
     value = solution.objective
     query = FixedSupportQuery(I=I, betaI=betaI, rows=tuple(generated))

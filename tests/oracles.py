@@ -7,6 +7,7 @@ Instance container.  Slow on purpose, keep n small.
 
 from fractions import Fraction
 from itertools import combinations
+from math import ceil
 
 
 def subsets(n):
@@ -83,6 +84,52 @@ def brute_cheapest_reach(cost, r, budget, target):
     if best is None:
         return None, ()
     return best
+
+
+def reference_fptas(r, costs, need, eps):
+    """The FPTAS cover in Fractions, one step at a time.
+
+    Zero-cost items are taken in index order while the need is open.
+    The guess v starts at the fractional greedy bound (density order,
+    ties by index) and doubles, capped at the total paying cost; each
+    round rounds c_i up to a multiple of delta = eps*v/(2m) and takes
+    the cheapest reach of the residual need within B = ceil(2m/eps) + m
+    rounded units.  Returns (value, chosen); the need must be coverable.
+    """
+    if need <= 0:
+        return Fraction(0), ()
+    taken = []
+    cover = 0
+    for i in range(len(r)):
+        if costs[i] == 0 and cover < need:
+            taken.append(i)
+            cover += r[i]
+    if cover >= need:
+        return Fraction(0), tuple(taken)
+    residual = need - cover
+    paying = [i for i in range(len(r)) if costs[i] > 0 and r[i] > 0]
+    lb = Fraction(0)
+    acc = 0
+    for i in sorted(paying, key=lambda i: (costs[i] / r[i], i)):
+        if acc + r[i] >= residual:
+            lb += costs[i] * Fraction(residual - acc, r[i])
+            break
+        acc += r[i]
+        lb += costs[i]
+    total = sum(costs[i] for i in paying)
+    m = len(paying)
+    B = ceil(Fraction(2 * m) / eps) + m
+    guess = lb
+    while True:
+        delta = eps * guess / (2 * m)
+        rounded = [ceil(costs[i] / delta) for i in paying]
+        reach, sub = brute_cheapest_reach(
+            rounded, [r[i] for i in paying], B, residual)
+        if reach is not None:
+            picked = [paying[k] for k in sub]
+            return (sum(costs[i] for i in picked),
+                    tuple(sorted(taken + picked)))
+        guess = min(2 * guess, total)
 
 
 def brute_kc_scan(inst, x):
@@ -166,3 +213,65 @@ def brute_pitch(coefficients, rhs):
         if total >= rhs:
             return k + 1
     return len(w) + 1
+
+
+def reference_line2_cut(inst, chosen):
+    """(terms, rhs, family) of the cut a level-alpha solution I induces,
+    term by term: the canonical pitch-2 cut split at beta(I), or the
+    pitch-1 cut on the positive-profit members of I when |I| < 2 or no
+    member's profit is below beta(I)."""
+    inside = set(chosen)
+    beta = Fraction(1) - sum(
+        inst.profits[i] for i in range(inst.n) if i not in inside)
+    assert beta > 0
+    members = sorted(inside)
+    if len(members) >= 2 and any(inst.profits[i] < beta for i in members):
+        terms = tuple(
+            (i, Fraction(1) if inst.profits[i] < beta else Fraction(2))
+            for i in members)
+        return terms, Fraction(2), "pitch2-canonical"
+    terms = tuple((i, Fraction(1)) for i in members if inst.profits[i] > 0)
+    return terms, Fraction(1), "pitch1"
+
+
+def reference_pitch12(inst, x, solve_palpha, mode="exact", eps=None):
+    """The pitch-1/2 oracle in Fractions, one step at a time.
+
+    solve_palpha(inst, x, alpha, mode=..., eps=...) solves each level.
+    Returns ("violated", terms, rhs, family, violation) or
+    ("certified", ybar): the knapsack row when x violates it, else the
+    most violated cut over the levels alpha = (r_i+1)/q <= 1 (strict
+    improvement, so ties keep the smallest alpha), else the pitch-1 cut
+    of the level-1/q solution, else the (blown-up) point.
+    """
+    def violation(terms, rhs):
+        return rhs - sum(w * x[i] for i, w in terms)
+
+    row = tuple((i, p) for i, p in enumerate(inst.profits) if p > 0)
+    gap = violation(row, Fraction(1))
+    if gap > 0:
+        return ("violated", row, Fraction(1), "knapsack-row", gap)
+    eps_prime = None if mode == "exact" else eps / (2 + eps)
+    best = None
+    for alpha in sorted({Fraction(ri + 1, inst.q) for ri in inst.r
+                         if ri + 1 <= inst.q}):
+        sol = solve_palpha(inst, x, alpha, mode=mode, eps=eps_prime)
+        if sol.value >= 2:
+            continue
+        terms, rhs, family = reference_line2_cut(inst, sol.chosen)
+        gap = violation(terms, rhs)
+        assert gap > 0
+        if best is None or gap > best[4]:
+            best = ("violated", terms, rhs, family, gap)
+    if best is not None:
+        return best
+    sol = solve_palpha(inst, x, Fraction(1, inst.q), mode=mode, eps=eps_prime)
+    if sol.value < 2:
+        terms = tuple((i, Fraction(1)) for i in sorted(sol.chosen)
+                      if inst.profits[i] > 0)
+        return ("violated", terms, Fraction(1), "pitch1",
+                violation(terms, Fraction(1)))
+    if mode == "exact":
+        return ("certified", tuple(x))
+    blow = (1 + eps_prime) / (1 - eps_prime)
+    return ("certified", tuple(min(Fraction(1), blow * v) for v in x))

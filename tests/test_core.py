@@ -163,6 +163,13 @@ def test_natural_row_drops_zero_profit():
     assert core.natural_row(inst).support == (1,)
 
 
+def test_scaled_point():
+    a, X = core.scaled_point((F(1, 2), F(1, 3), F(0), F(1), F(5, 6)))
+    assert (a, X) == ([3, 2, 0, 6, 5], 6)
+    assert core.scaled_point((F(2, 4), F(1, 2))) == ([1, 1], 2)
+    assert core.scaled_point(()) == ([], 1)
+
+
 def test_char_vector_and_as_point():
     assert core.char_vector((2, 0), 3) == (F(1), F(0), F(1))
     with pytest.raises(ValueError):

@@ -216,6 +216,15 @@ try:  # a KC kernel score one above its cut's violation
 except core.VerificationError:
     rejected.append("kc")
 kernels.kc_best_subset = best_subset
+line2_cut = sep._line2_cut
+sep._line2_cut = lambda inst, chosen: sep._pitch1_cut(inst, chosen)
+worked = core.normalize((F(2), F(3), F(5), F(8)),
+                        (F(3, 10), F(4, 10), F(5, 10), F(8, 10)), F(1))
+try:  # the valid pitch-1 cut on I = {0, 1, 3} for its pitch-2 cut
+    sep.separate_pitch12(worked, (F(0), F(0), F(1), F(5, 8)))
+except core.VerificationError:
+    rejected.append("p12")
+sep._line2_cut = line2_cut
 print(__debug__, report.final_lp, report.reason, report.iterations,
       sorted(report.cut_counts.items()), rejected)
 """
@@ -235,6 +244,6 @@ def test_run_is_unchanged_under_python_O(capsys):
     debug, summary = proc.stdout.split(" ", 1)
     assert debug == "False"
     assert summary == here
-    # the LP certificate, the cut pool check and the KC kernel check
-    # all still reject
-    assert summary.endswith(" ['lp', 'cut', 'kc']\n")
+    # the LP certificate, the cut pool check, the KC kernel check and
+    # the pitch-1/2 winner's score check all still reject
+    assert summary.endswith(" ['lp', 'cut', 'kc', 'p12']\n")

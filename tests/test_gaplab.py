@@ -100,6 +100,17 @@ def test_lemma4_point():
     gaplab._check_lemma4_point(inst, 4)
 
 
+def test_witness_checks_raise_rather_than_assert():
+    # all profit on one item at x = 1/3: the lemma-4 point misses the row
+    skewed = core.normalize((F(1),) * 6, (F(0),) * 5 + (F(1),), F(1))
+    with pytest.raises(core.VerificationError):
+        gaplab._check_lemma4_point(skewed, 4)
+    # any two of seven halves cover, so the wild cuts are not valid here
+    halves = core.normalize((F(1),) * 7, (F(1, 2),) * 7, F(1))
+    with pytest.raises(core.VerificationError):
+        gaplab._check_wild(halves)
+
+
 def test_gen_ola_structure():
     raw = gaplab.gen_ola(4)
     assert raw.labels[:4] == ("x1", "x2", "x3", "x4")

@@ -69,6 +69,29 @@ def test_solve_fptas_sandwich():
             assert approx.mode == "fptas" and approx.eps == eps
 
 
+def test_fptas_matches_the_fraction_reference():
+    # the integer guess pair and floor division round exactly as the
+    # Fraction formula ceil(c_i / delta) does
+    rng = random.Random(26)
+    for seed in range(80):
+        inst = gaplab.gen_random(rng.randint(1, 8), 1050 + seed).normalize()
+        objective = [F(rng.randint(0, 9), rng.choice((1, 2, 3, 64)))
+                     for _ in range(inst.n)]
+        x = tuple(F(rng.randint(0, den), den)
+                  for den in (rng.choice((2, 6, 64)) for _ in range(inst.n)))
+        num = rng.randint(1, inst.q)
+        level = [v if ri < num else 2 * v for ri, v in zip(inst.r, x)]
+        for eps in (F(1, 2), F(1, 10), F(3)):
+            sol = knapdp.solve_fptas(inst, objective, eps)
+            assert (sol.value, sol.chosen) == \
+                oracles.reference_fptas(inst.r, objective, inst.q, eps)
+            sol = knapdp.solve_Palpha(inst, x, F(num, inst.q), mode="fptas",
+                                      eps=eps)
+            need = sum(inst.r) - inst.q + num
+            assert (sol.value, sol.chosen) == \
+                oracles.reference_fptas(inst.r, level, need, eps)
+
+
 def test_solve_fptas_rejects_bad_eps():
     inst = worked_instance()
     with pytest.raises(ValueError):
@@ -173,3 +196,33 @@ def test_solve_palpha_fptas_stays_feasible_and_close():
             need = sum(inst.r) - inst.q + int(alpha * inst.q)
             assert sum(inst.r[i] for i in approx.chosen) >= need
             assert exact.value <= approx.value <= (1 + eps) * exact.value
+
+
+def test_fptas_answers_do_not_depend_on_the_objective_scale():
+    # delta is proportional to the costs, so the rounded costs, the guess
+    # loop and the chosen set are the same at every scale; the integer
+    # FPTAS relies on this to run on costs over any common denominator
+    rng = random.Random(25)
+    for seed in range(20):
+        inst = gaplab.gen_random(rng.randint(1, 8), 1000 + seed).normalize()
+        objective = [F(rng.randint(0, 9), rng.choice((1, 2, 3, 8)))
+                     for _ in range(inst.n)]
+        x = tuple(F(rng.randint(0, 6), 6) for _ in range(inst.n))
+        alpha = F(rng.randint(1, inst.q), inst.q)
+        for eps in (F(1, 2), F(1, 10)):
+            k = rng.randint(2, 30)
+            base = knapdp.solve_fptas(inst, objective, eps)
+            big = knapdp.solve_fptas(inst, [k * v for v in objective], eps)
+            assert (big.chosen, big.value) == (base.chosen, k * base.value)
+            # the same costs as integers over the non-reduced k*D
+            scaled, D = core.scaled_point(objective)
+            value, chosen = knapdp._fptas_cover(
+                inst.r, [k * c for c in scaled], inst.q, eps,
+                knapdp.DEFAULT_BUDGET)
+            assert (chosen, F(value, k * D)) == (base.chosen, base.value)
+            level = knapdp.solve_Palpha(inst, x, alpha, mode="fptas",
+                                        eps=eps)
+            small = knapdp.solve_Palpha(inst, [v / k for v in x], alpha,
+                                        mode="fptas", eps=eps)
+            assert (small.chosen, k * small.value) == \
+                (level.chosen, level.value)

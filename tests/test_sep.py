@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from pitchcut import core, gaplab, sep
+from pitchcut import core, gaplab, knapdp, sep
 
 F = Fraction
 
@@ -112,6 +112,58 @@ def test_pitch12_fptas_certificate_blows_up_the_point():
                     min(F(1), blow * v) for v in x)
                 for cut in p1 + p2:
                     assert cut.lhs(result.ybar) >= cut.rhs
+
+
+def mixed_grid_point(inst, rng):
+    # halves, thirds and 64ths mixed, so the common denominator X varies
+    return tuple(F(rng.randint(0, den), den)
+                 for den in (rng.choice((2, 3, 64)) for _ in range(inst.n)))
+
+
+def answer(result):
+    if isinstance(result, sep.Certified):
+        return ("certified", result.ybar)
+    cut = result.cut
+    assert result.family == cut.family
+    return ("violated", cut.terms, cut.rhs, cut.family, result.violation)
+
+
+def test_pitch12_matches_the_fraction_reference_and_brute_force():
+    rng = random.Random(48)
+    runs = (("exact", None), ("fptas", F(1, 10)), ("fptas", F(1, 2)))
+    kinds = set()
+    for seed in range(40):
+        inst = gaplab.gen_random(rng.randint(2, 10), 1600 + seed).normalize()
+        p1 = sep.enumerate_pitch1(inst)
+        p2 = sep.enumerate_pitch2(inst)
+        p2_keys = {cut.key() for cut in p2}
+        for _ in range(3):
+            x = mixed_grid_point(inst, rng)
+            for mode, eps in runs:
+                got = answer(sep.separate_pitch12(inst, x, eps=eps, mode=mode))
+                want = oracles.reference_pitch12(
+                    inst, x, knapdp.solve_Palpha, mode=mode, eps=eps)
+                assert got == want
+                kinds.add(got[0] if got[0] == "certified" else got[3])
+                if mode != "exact":
+                    continue
+                # brute force: the most violated enumerated cut, or the row
+                top = max(cut.violation(x) for cut in p1 + p2)
+                row_gap = core.natural_row(inst).violation(x)
+                if got[0] == "certified":
+                    assert row_gap <= 0 and top <= 0
+                elif got[3] == "knapsack-row":
+                    assert got[4] == row_gap > 0
+                else:
+                    assert row_gap <= 0 and 0 < got[4] <= top
+                    if got[3] == "pitch2-canonical":
+                        assert (got[1], got[2]) in p2_keys
+                    else:
+                        assert oracles.brute_valid(
+                            core.make_inequality(dict(got[1]), got[2],
+                                                 "pitch1"), inst)
+    assert kinds == {"certified", "knapsack-row", "pitch1",
+                     "pitch2-canonical"}
 
 
 def test_separate_kc_heuristic_worked_example():
