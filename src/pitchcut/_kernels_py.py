@@ -1,10 +1,11 @@
 """Pure Python fallbacks for the three DP kernels.
 
 These run on arbitrary-precision integers, so they never overflow; the
-compiled versions in _speedups are drop-in replacements restricted to
-signed 64-bit ranges.  Tie-breaking must stay identical between the two
-implementations: callers rely on the reconstructed index sets being
-bit-for-bit reproducible.
+compiled versions in _speedups (hand-written C, _speedups.c) are
+drop-in replacements restricted to signed 64-bit ranges, and the tests
+compare them against these.  Tie-breaking must stay identical between
+the two implementations: callers rely on the reconstructed index sets
+being bit-for-bit reproducible.
 """
 
 from __future__ import annotations

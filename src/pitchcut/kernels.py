@@ -1,8 +1,9 @@
 """Kernel dispatch.
 
-Picks the compiled DP kernels when the extension is present and every
-intermediate value provably fits in signed 64-bit arithmetic, otherwise
-the bignum Python fallbacks.  The two implementations share tie-breaking
+Picks the compiled DP kernels (the C extension _speedups, built from
+_speedups.c) when the extension is present and every intermediate value
+provably fits in signed 64-bit arithmetic, otherwise the bignum Python
+fallbacks in _kernels_py.  The two implementations share tie-breaking
 rules, so which one ran is unobservable apart from speed.
 """
 

@@ -25,6 +25,7 @@ from . import kernels
 from .core import (
     BudgetExceededError,
     InfeasibleInstanceError,
+    _frac,
     as_point,
     scaled_point,
 )
@@ -48,7 +49,7 @@ class KnapSolution:
 
 
 def _coerce_objective(objective, n):
-    obj = [Fraction(v) for v in objective]
+    obj = [_frac(v) for v in objective]
     if len(obj) != n:
         raise ValueError("objective must have %d entries" % n)
     for v in obj:

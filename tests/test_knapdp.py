@@ -226,3 +226,13 @@ def test_fptas_answers_do_not_depend_on_the_objective_scale():
                                         mode="fptas", eps=eps)
             assert (small.chosen, k * small.value) == \
                 (level.chosen, level.value)
+
+
+@pytest.mark.parametrize("solve", [
+    lambda inst, v: knapdp.solve_exact(inst, v),
+    lambda inst, v: knapdp.solve_fptas(inst, v, F(1, 10)),
+    lambda inst, v: knapdp.solve_Palpha(inst, v, F(1, 10)),
+], ids=["solve_exact", "solve_fptas", "solve_Palpha"])
+def test_solvers_reject_floats(solve):
+    with pytest.raises(TypeError):
+        solve(worked_instance(), [0.1, 0.2, 0.3, 0.4])
