@@ -221,7 +221,11 @@ def run(inst, config, instance_id=""):
     """Drive the cutting-plane loop to one of its three exits.
 
     The LP value sequence is non-decreasing because rows only ever get
-    added.  'certified' is reported only when the pitch oracle ran and
+    added, and every cut is new because it is violated at the current
+    optimum.  Each re-solve resumes the last one (see ratlp.solve_lp),
+    so both are checked on every round: a falling value or a repeated
+    cut raises VerificationError, also under python -O.
+    'certified' is reported only when the pitch oracle ran and
     certified while knapsack-cover separation (in whatever mode it is
     enabled) stayed silent; a quiet loop without that certificate exits
     as 'no-cut-found'.
@@ -241,8 +245,8 @@ def run(inst, config, instance_id=""):
     def next_cut(solution):
         nonlocal reason
         values.append(solution.objective)
-        if len(values) > 1:
-            assert values[-1] >= values[-2]
+        if len(values) > 1 and values[-1] < values[-2]:
+            raise VerificationError("the LP value fell after a cut was added")
         if len(values) > config.max_iter:
             reason = "max-iter"
             return None
@@ -250,9 +254,11 @@ def run(inst, config, instance_id=""):
         if cut is None:
             reason = "no-cut-found" if certified is None else "certified"
             return None
-        added = pool.add(cut)
         # a cut violated at the current optimum cannot already be a row
-        assert added
+        if not pool.add(cut):
+            raise VerificationError(
+                "separator returned a cut that is already a row: %s"
+                % format_cut(cut, inst))
         return [(dict(cut.terms), ">=", cut.rhs)]
 
     solution = ratlp.solve_lp(model, next_cut)

@@ -22,6 +22,22 @@ the all-upper-bounds point when it satisfies every row, else the
 all-lower-bounds point; only rows that the start point violates get an
 artificial column, and phase 1 runs only when there is one, so
 infeasibility is detected there.
+
+Row generation resumes each re-solve rather than starting over.  A
+cold solve after rows are added makes the last solve's moves for as
+long as no new row wins a ratio test: the new slacks start basic at
+cost 0, so the reduced costs and the pricing do not change, and the
+ratio tests change only where a new row blocks first.  So the solver
+logs each move, replays the new rows through the log to the first move
+p that they change, goes back to the state before p by undoing the
+moves after it on the final tableau, newest first, appends the new
+rows and runs on.  Rows in lowest terms, the value column and the
+reduced-cost row are canonical for a basis and the nonbasic columns'
+bound flags, so that state is the cold solve's bit for bit, and so are
+every later pivot, the vertex and the duals.  A solve that needed
+phase 1, a new row that the start point violates, or a model whose
+earlier rows are no longer the row objects the tableau was built from
+falls back to a cold solve.
 """
 
 from __future__ import annotations
@@ -29,12 +45,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .core import VerificationError
 
 SENSES = (">=", "<=", "=")
 
 _MAX_PIVOTS = 200000
+_ZERO = Fraction(0)
 
 
 class LPModel:
@@ -137,24 +155,95 @@ def _upper_residuals(rows, senses, up, scale):
 
 
 def _nonzero(row):
-    return [(j, w) for j, w in enumerate(row) if w]
+    """The (column, entry) pairs of a tableau row's nonzero entries.
+
+    The value column, always the last, is named -1, so the list stays
+    valid for rows that have gained slack columns since.
+    """
+    pairs = [(j, w) for j, w in enumerate(row) if w]
+    if row[-1]:
+        pairs[-1] = (-1, row[-1])
+    return pairs
 
 
-def _eliminate(row, den, col, pivot_row, nonzero):
+def _eliminate(row, den, col, pivot, nonzero):
     """Subtract the multiple of the pivot row that zeroes row[col].
 
-    The pivot row is normalized: its entry in col equals its
+    The pivot row is normalized: its entry in col is pivot, its
     denominator, and nonzero lists its (column, entry) pairs.  Returns
     the new (row, den) in lowest terms; row may be updated in place.
     """
-    g = gcd(pivot_row[col], row[col])
-    scale, factor = pivot_row[col] // g, row[col] // g
+    g = gcd(pivot, row[col])
+    scale, factor = pivot // g, row[col] // g
     if scale != 1:
         row = [w * scale for w in row]
         den *= scale
     for j, w in nonzero:
         row[j] -= factor * w
     return _reduced(row, den)
+
+
+def _start_row(ncols, den, terms, residual, units):
+    """A row of the start tableau, as (row, den) in lowest terms.
+
+    terms are the row's scaled structural entries over den, units the
+    (column, sign) pairs of its slack and, if it has one, its
+    artificial; the last unit is the basic column, which gets
+    coefficient +1.  residual is the row's residual at the start point.
+    """
+    row = [0] * (ncols + 1)
+    for j, w in terms:
+        row[j] = w
+    for j, sign in units:
+        row[j] = sign * den
+    row[ncols] = residual
+    if units[-1][1] < 0:
+        row = [-w for w in row]
+    return _reduced(row, den)
+
+
+def _ratio_test(rows, enter, direction, lo, up, best=(0, 0, -1, -1)):
+    """The row that blocks x_enter first as it moves in direction.
+
+    rows yields (row, den, basic) triples, each row ending in its value
+    entry; row i moves its basic variable by -row[enter] * direction /
+    den per unit step of x_enter.  A limit is the pair (num, den),
+    den > 0, worth num / (L den).  The smaller limit wins, and on equal
+    limits the smaller basic index.  Returns (num, den, basic, i) of
+    the winner, i being its position in rows, or best when no row beats
+    best; the default best, with basic -1, is beaten by any row.
+    """
+    best_num, best_den, best_basic, best_i = best
+    for i, (row, den, k) in enumerate(rows):
+        g = row[enter] * direction
+        if not g:
+            continue
+        if g > 0:
+            num = row[-1] - lo[k] * den
+        else:
+            if up[k] is None:
+                continue
+            num, g = up[k] * den - row[-1], -g
+        if best_basic >= 0:
+            left, right = num * best_den, best_num * g
+            if left > right or (left == right and k > best_basic):
+                continue
+        best_num, best_den, best_basic, best_i = num, g, k, i
+    return best_num, best_den, best_basic, best_i
+
+
+def _shift(rows, enter, step):
+    # x_enter moves by step with no basis change: a bound flip
+    for row in rows:
+        if row[enter]:
+            row[-1] -= row[enter] * step
+
+
+def _flips(span, num, den):
+    """Whether x_enter moves across its whole span, a bound flip with no
+    basis change, rather than pivoting on the row whose limit is
+    num / den; the flip wins a tie."""
+    return span is not None and span * den <= num
 
 
 class _Tableau:
@@ -172,19 +261,24 @@ class _Tableau:
 
     Bounds are the ints lo[j] and up[j] (None: no upper bound), the
     real bounds times L.  A nonbasic column sits at up[j] when
-    at_upper[j], else at lo[j].  Row i of the tableau is T[i][j] / D[i]
-    for j < ncols: Python ints over one positive denominator, kept in
-    lowest terms, with its basic column a unit column
-    (T[i][basis[i]] == D[i]).  T[i][ncols] is the value column:
-    x_basis[i] == T[i][ncols] / (L * D[i]).  It starts as the residual
-    of the row at the start point and goes through every row operation
-    like any other column; moving a nonbasic column moves it.  The
-    reduced-cost row d[j] / dden = c_j - (c_B^T T)_j of the cost being
-    run has no value entry; it is built once per run and then updated
-    by every pivot like any other row.
+    at_upper[j], else at lo[j]; a basic column's flag is False.  Row i
+    of the tableau is T[i][j] / D[i] for j < ncols: Python ints over
+    one positive denominator, kept in lowest terms, with its basic
+    column a unit column (T[i][basis[i]] == D[i]).  T[i][ncols] is the
+    value column: x_basis[i] == T[i][ncols] / (L * D[i]).  It starts
+    as the residual of the row at the start point and goes through
+    every row operation like any other column; moving a nonbasic
+    column moves it.  The reduced-cost row d[j] / dden = c_j -
+    (c_B^T T)_j of the cost being run has no value entry; it is built
+    once per run and then updated by every pivot like any other row.
+    All of this is canonical: the basis and the nonbasic columns' flags
+    determine every entry, whatever path led to them.
+
+    With record set and no artificial, run logs its moves in moves, so
+    that resume can take the tableau on to a model with more rows.
     """
 
-    def __init__(self, model):
+    def __init__(self, model, record=False):
         m = len(model.rows)
         nv = model.n_vars
         self.m = m
@@ -203,6 +297,8 @@ class _Tableau:
         senses = [sense for _, sense, _ in model.rows]
         residuals = _upper_residuals(rows, senses, self.up, L)
         self.at_upper = [residuals is not None] * nv
+        # the structurals' start point
+        self.start = self.lo[:] if residuals is None else self.up[:]
         if residuals is None:
             residuals = _residuals(rows, self.lo, L)
         fits = list(map(_fits, residuals, senses))
@@ -222,36 +318,44 @@ class _Tableau:
         self.basis = []
         artificial = nv + m
         for i, (den, terms, _) in enumerate(rows):
-            row = [0] * (ncols + 1)
-            for j, w in terms:
-                row[j] = w
-            row[nv + i] = self.slack_sign[i] * den
-            if fits[i]:
-                basic, sign = nv + i, self.slack_sign[i]
-            else:
-                basic, sign = artificial, -1 if residuals[i] < 0 else 1
-                row[basic] = sign * den
+            units = [(nv + i, self.slack_sign[i])]
+            if not fits[i]:
+                units.append((artificial, -1 if residuals[i] < 0 else 1))
                 artificial += 1
-            row[ncols] = residuals[i]
-            if sign < 0:
-                row = [-w for w in row]
-            row, den = _reduced(row, den)
+            row, den = _start_row(ncols, den, terms, residuals[i], units)
             self.T.append(row)
             self.D.append(den)
-            self.basis.append(basic)
-        self.d = None  # the reduced-cost row, set by run
+            self.basis.append(units[-1][0])
+        self.cost = None  # the cost of the reduced-cost row, set by run
+        self.d = None
         self.dden = 1
+        # what resume needs, kept for row generation only.  moves logs
+        # each move of the last run as (enter, direction, num, den,
+        # basic, row, pivot, nonzero): num / den is the ratio-test
+        # winner with its basic column, or basic -1 when no row blocks;
+        # a pivot has the winner's row and the pivot row's denominator
+        # and nonzero entries after the pivot, a bound flip row -1 and
+        # nonzero None.  rows are the model's row objects the tableau
+        # holds, variables its bounds and objective
+        self.moves = self.rows = self.variables = None
+        if record and not n_art:
+            self.moves = []
+            self.rows = model.rows[:]
+            self.variables = (model.lower[:], model.upper[:],
+                              model.objective[:])
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
 
     def _pivot(self, row, col, to_upper):
         """col enters the basis at row; the leaving variable becomes
-        nonbasic at its upper bound if to_upper, else at its lower."""
+        nonbasic at its upper bound if to_upper, else at its lower.
+        Returns the nonzero entries of the normalized pivot row."""
         T, D, ncols = self.T, self.D, self.ncols
         # fold the entering column's value into the value column, and
         # take the leaving variable's out of it
         bound = self.up[col] if self.at_upper[col] else self.lo[col]
+        self.at_upper[col] = False
         if bound:
             for r in T:
                 if r[col]:
@@ -270,30 +374,39 @@ class _Tableau:
         nonzero = _nonzero(prow)
         for i in range(self.m):
             if i != row and T[i][col]:
-                T[i], D[i] = _eliminate(T[i], D[i], col, prow, nonzero)
+                T[i], D[i] = _eliminate(T[i], D[i], col, D[row], nonzero)
         if self.d[col]:
-            if prow[ncols]:
-                nonzero.pop()  # the d row has no value entry
-            self.d, self.dden = _eliminate(
-                self.d, self.dden, col, prow, nonzero
-            )
+            self._price_out(col, D[row], nonzero)
         self.basis[row] = col
+        return nonzero
+
+    def _price_out(self, col, pivot, nonzero):
+        # the reduced-cost row has no value entry
+        if nonzero[-1][0] < 0:
+            nonzero = nonzero[:-1]
+        self.d, self.dden = _eliminate(self.d, self.dden, col, pivot, nonzero)
+
+    def _flip(self, enter, step):
+        _shift(self.T, enter, step)
+        self.at_upper[enter] = not self.at_upper[enter]
 
     def run(self, cost):
         """Bland-rule simplex under the given column costs.
 
         Returns "optimal" or "unbounded"; the value column and at_upper
-        hold the point.
+        hold the point.  The reduced costs are rebuilt only when the
+        costs differ from those of the last run.  With a log, each move
+        is appended to moves.
         """
         T, D, basis = self.T, self.D, self.basis
         lo, up, at_upper = self.lo, self.up, self.at_upper
-        value = self.ncols
-        self.d, self.dden = _integer_row(cost)
-        for i, k in enumerate(basis):
-            if self.d[k]:
-                self.d, self.dden = _eliminate(
-                    self.d, self.dden, k, T[i], _nonzero(T[i][:value])
-                )
+        moves = self.moves
+        if cost != self.cost:
+            self.cost = cost
+            self.d, self.dden = _integer_row(cost)
+            for i, k in enumerate(basis):
+                if self.d[k]:
+                    self._price_out(k, D[i], _nonzero(T[i]))
         in_basis = set(basis)
         for _ in range(_MAX_PIVOTS):
             d = self.d
@@ -314,51 +427,115 @@ class _Tableau:
             if enter < 0:
                 return "optimal"
 
-            # ratio test: how far can x_enter move toward its other bound;
-            # row i moves x_basis[i] by -g/D[i] per unit step of x_enter.
-            # A limit is the pair (num, den), den > 0, worth num / (L den)
+            # ratio test: how far can x_enter move toward its other bound
             span = None if up[enter] is None else up[enter] - lo[enter]
-            best_num = best_den = 0
-            leave_row = -1
-            for i in range(self.m):
-                g = T[i][enter] * direction
-                if g == 0:
-                    continue
-                k = basis[i]
-                if g > 0:
-                    num = T[i][value] - lo[k] * D[i]
-                else:
-                    if up[k] is None:
-                        continue
-                    num, g = up[k] * D[i] - T[i][value], -g
-                if leave_row < 0:
-                    less = True
-                else:
-                    left, right = num * best_den, best_num * g
-                    less = left < right or (
-                        left == right and k < basis[leave_row])
-                if less:
-                    best_num, best_den, leave_row = num, g, i
+            num, den, leave, leave_row = _ratio_test(
+                zip(T, D, basis), enter, direction, lo, up)
             if leave_row < 0 and span is None:
                 return "unbounded"
 
-            if leave_row < 0 or (
-                span is not None and span * best_den <= best_num
-            ):
-                # a bound flip moves x_enter by its span, no basis change
-                step = direction * span
-                for row in T:
-                    if row[enter]:
-                        row[value] -= row[enter] * step
-                at_upper[enter] = not at_upper[enter]
+            if leave_row < 0 or _flips(span, num, den):
+                self._flip(enter, direction * span)
+                if moves is not None:
+                    moves.append((enter, direction, num, den, leave, -1, 0,
+                                  None))
                 continue
 
-            leave = basis[leave_row]
             # the leaving variable lands on the bound it hit
-            self._pivot(leave_row, enter, T[leave_row][enter] * direction < 0)
+            nonzero = self._pivot(leave_row, enter,
+                                  T[leave_row][enter] * direction < 0)
+            if moves is not None:
+                moves.append((enter, direction, num, den, leave, leave_row,
+                               D[leave_row], nonzero))
             in_basis.discard(leave)
             in_basis.add(enter)
         raise AssertionError("pivot limit hit, Bland's rule should terminate")
+
+    def resume(self, model):
+        """Take the tableau on to the model's rows beyond its own.
+
+        The new rows enter at the point of the logged run where a cold
+        solve of the larger model would first move differently, so that
+        one more run makes exactly the cold solve's moves.  Returns
+        False, with the tableau unchanged, when that cannot be done: the
+        last run was not logged, the model's variables changed, its first
+        rows are not the row objects the tableau holds, or a new row
+        would need an artificial at the start point.  A row edited in
+        place is not noticed here; _verify_optimal checks the answer
+        against the edited row.
+        """
+        m, ncols = self.m, self.ncols
+        if self.moves is None or (
+                model.lower, model.upper, model.objective) != self.variables:
+            return False
+        if any(a is not b for a, b in zip(model.rows, self.rows)):
+            return False
+        added = model.rows[m:]
+        rows = [_scaled_row(coefficients, rhs)
+                for coefficients, _, rhs in added]
+        residuals = _residuals(rows, self.start, self.L)
+        senses = [sense for _, sense, _ in added]
+        if not all(map(_fits, residuals, senses)):
+            return False
+        lo, up, T = self.lo, self.up, self.T
+        # the new rows at the start point, with their slacks basic in
+        # the columns after the old ones
+        signs = [-1 if sense == ">=" else 1 for sense in senses]
+        width = ncols + len(added)
+        new = []
+        for t, (den, terms, _) in enumerate(rows):
+            row, den = _start_row(width, den, terms, residuals[t],
+                                  [(ncols + t, signs[t])])
+            new.append((row, den, ncols + t))
+        lo.extend([0] * len(added))
+        up.extend([0 if sense == "=" else None for sense in senses])
+
+        # replay the log on the new rows up to the first move whose
+        # ratio test a new row wins; the reduced costs stay the same
+        # until then, since the new slacks are basic at cost 0
+        p = len(self.moves)
+        for s, (enter, direction, num, den, basic, _, pivot,
+                nonzero) in enumerate(self.moves):
+            span = None if up[enter] is None else up[enter] - lo[enter]
+            num, den, _, i = _ratio_test(new, enter, direction, lo, up,
+                                         (num, den, basic, -1))
+            if i >= 0 and not _flips(span, num, den):
+                p = s
+                break
+            if nonzero is None:
+                _shift([row for row, _, _ in new], enter, direction * span)
+                continue
+            bound = lo[enter] if direction > 0 else up[enter]
+            for t, (row, row_den, slack) in enumerate(new):
+                if row[enter]:
+                    row[-1] += row[enter] * bound
+                    new[t] = (*_eliminate(row, row_den, enter, pivot,
+                                          nonzero), slack)
+
+        # go back to the state before move p: undo the moves after it,
+        # newest first
+        for enter, direction, _, _, leave, row, _, nonzero in reversed(
+                self.moves[p:]):
+            if nonzero is None:
+                self._flip(enter, -direction * (up[enter] - lo[enter]))
+            else:
+                self._pivot(row, leave, direction < 0)
+        del self.moves[p:]
+
+        for row in T:
+            row[ncols:ncols] = [0] * len(added)
+        self.d.extend([0] * len(added))
+        self.at_upper.extend([False] * len(added))
+        self.cost.extend([0] * len(added))
+        for row, den, basic in new:
+            T.append(row)
+            self.D.append(den)
+            self.basis.append(basic)
+        self.slack_sign.extend(signs)
+        self.rows.extend(added)
+        self.m += len(added)
+        self.ncols = width
+        return True
 
     def drive_out_artificials(self):
         for i in range(self.m):
@@ -374,9 +551,11 @@ class _Tableau:
             if target >= 0:
                 # degenerate swap: the artificial sits at zero, values keep
                 self._pivot(i, target, False)
-        # freeze every artificial at zero
+        # freeze every artificial at zero; phase 2 prices afresh, and
+        # run need not compare its costs with phase 1's
         for j in range(self.nv + self.m, self.ncols):
             self.up[j] = 0
+        self.cost = None
 
     def artificials_at_zero(self):
         # basic values are within bounds, so no artificial is negative
@@ -384,23 +563,23 @@ class _Tableau:
                        for i, k in enumerate(self.basis)
                        if self.is_artificial(k))
 
-    def primal(self):
-        """The structural part of the point, as Fractions."""
-        L = self.L
-        x = [Fraction(self.up[j] if self.at_upper[j] else self.lo[j], L)
+    def primal(self, model):
+        """The structural part of the point, as Fractions; a nonbasic
+        variable takes its bound from the model, which the tableau's
+        bounds are scaled from."""
+        x = [model.upper[j] if self.at_upper[j] else model.lower[j]
              for j in range(self.nv)]
         for i, k in enumerate(self.basis):
             if k < self.nv:
-                x[k] = Fraction(self.T[i][self.ncols], L * self.D[i])
+                x[k] = Fraction(self.T[i][self.ncols], self.L * self.D[i])
         return x
 
     def duals(self):
         """Row duals y_i = slack_sign_i * (c_B^T T)_slack of the last
         run; slacks cost nothing, so that is -slack_sign_i * d_slack."""
-        return [
-            Fraction(-self.slack_sign[i] * self.d[self.nv + i], self.dden)
-            for i in range(self.m)
-        ]
+        d, nv = self.d, self.nv
+        return [Fraction(-self.slack_sign[i] * d[nv + i], self.dden)
+                if d[nv + i] else _ZERO for i in range(self.m)]
 
 
 def _require(condition, what):
@@ -408,14 +587,21 @@ def _require(condition, what):
         raise VerificationError("LP certificate failed: " + what)
 
 
-def _verify_optimal(model, primal, duals, objective_value):
+def _verify_optimal(model, primal, duals, objective_value, scaled=None):
     """Exact KKT check of an optimal primal/dual pair.
 
     Raises VerificationError on any failure, which is a solver bug.
     It is an explicit raise, not an assert, so it also runs under -O.
     It reads the model, the primal and the duals, never the tableau,
     and scales the rows itself instead of calling _scaled_row, so that
-    a scaling fault in the solver cannot pass its own check.
+    a scaling fault in the solver cannot pass its own check.  scaled
+    may keep that scaling between the checks of one row-generation
+    loop: entry i is (row, coefficients, den, terms, b) for the row
+    object model.rows[i], with a copy of its coefficient map, and is
+    made again when model.rows[i] is another object or its map no
+    longer equals the copy.  Coefficients are immutable Fractions, so
+    the comparison is by identity, in C, and catches a map edited in
+    place.
     The sums are integer dot products: the primal is scaled to integers
     X over its common denominator P, each row to integers over its own
     denominator, and the reduced costs c - sum_i y_i a_i to integers
@@ -428,12 +614,21 @@ def _verify_optimal(model, primal, duals, objective_value):
     P = lcm(*(x.denominator for x in primal))
     X = [x.numerator * (P // x.denominator) for x in primal]
     priced = []  # (y, den, terms, b) of the rows with a nonzero dual
-    for (coefficients, sense, rhs), y in zip(model.rows, duals):
-        den = lcm(rhs.denominator,
-                  *(w.denominator for w in coefficients.values()))
-        terms = [(j, w.numerator * (den // w.denominator))
-                 for j, w in coefficients.items()]
-        b = rhs.numerator * (den // rhs.denominator)
+    if scaled is None:
+        scaled = []
+    for i, (row, y) in enumerate(zip(model.rows, duals)):
+        coefficients, sense, rhs = row
+        if (i < len(scaled) and scaled[i][0] is row
+                and scaled[i][1] == coefficients):
+            den, terms, b = scaled[i][2:]
+        else:
+            den = lcm(rhs.denominator,
+                      *(w.denominator for w in coefficients.values()))
+            terms = [(j, w.numerator * (den // w.denominator))
+                     for j, w in coefficients.items()]
+            b = rhs.numerator * (den // rhs.denominator)
+            del scaled[i:]
+            scaled.append((row, dict(coefficients), den, terms, b))
         # lhs and b * P are a.x and rhs, both times den * P
         lhs = sum(w * X[j] for j, w in terms)
         if sense == ">=":
@@ -471,8 +666,9 @@ def _verify_optimal(model, primal, duals, objective_value):
              == objective_value.numerator * K * P, "strong duality gap")
 
 
-def _solve_once(model):
-    tab = _Tableau(model)
+def _solve(model, tab, scaled=None):
+    """Run a tableau built from the model, or resumed on it, to its
+    answer; scaled goes to _verify_optimal."""
     artificials = range(tab.nv + tab.m, tab.ncols)
     if artificials:
         phase1 = [0] * tab.ncols
@@ -492,12 +688,12 @@ def _solve_once(model):
         return LPSolution(
             status="unbounded", primal=None, objective=None, duals=None
         )
-    primal = tuple(tab.primal())
-    objective_value = sum(
-        model.objective[j] * primal[j] for j in range(tab.nv)
-    )
+    primal = tuple(tab.primal(model))
+    c, cden = _integer_row(model.objective)
+    X, P = _integer_row(primal)
+    objective_value = Fraction(sum(map(mul, c, X)), cden * P)
     duals = tuple(tab.duals())
-    _verify_optimal(model, primal, duals, objective_value)
+    _verify_optimal(model, primal, duals, objective_value, scaled)
     return LPSolution(
         status="optimal",
         primal=primal,
@@ -513,9 +709,24 @@ def solve_lp(model, row_callback=None):
     and may return an iterable of (coefficients, sense, rhs) rows to
     append; solving repeats until the callback returns nothing.  The
     model object accumulates the generated rows.
+
+    A re-solve does not start over: it replays the new rows through
+    the last solve's logged moves up to the first one they change, goes
+    back to the state before that move and runs on from there.  Up to
+    that move a cold solve of the larger model makes the same moves,
+    and the tableau is canonical for its basis and bound flags, so the
+    re-solve makes exactly the cold solve's pivots and flips and
+    returns the same vertex and duals.  It is a cold solve instead when
+    the last solve needed artificials, a new row fails at the start
+    point, or the callback added rows to the model itself, replaced one
+    of its rows or changed its variables.  A row must not be edited in
+    place: the re-solve would not notice, and an answer that the edit
+    makes wrong fails the certificate check with VerificationError.
     """
+    tab = _Tableau(model, record=row_callback is not None)
+    scaled = []
     while True:
-        solution = _solve_once(model)
+        solution = _solve(model, tab, scaled)
         if solution.status != "optimal" or row_callback is None:
             return solution
         new_rows = row_callback(solution)
@@ -524,3 +735,5 @@ def solve_lp(model, row_callback=None):
             return solution
         for coefficients, sense, rhs in new_rows:
             model.add_row(coefficients, sense, rhs)
+        if len(model.rows) != tab.m + len(new_rows) or not tab.resume(model):
+            tab = _Tableau(model, record=True)

@@ -275,3 +275,99 @@ def reference_pitch12(inst, x, solve_palpha, mode="exact", eps=None):
         return ("certified", tuple(x))
     blow = (1 + eps_prime) / (1 - eps_prime)
     return ("certified", tuple(min(Fraction(1), blow * v) for v in x))
+
+
+def reference_simplex_moves(model):
+    """The moves of ratlp's cold solve, from a dense Fraction simplex.
+
+    The columns and rules are ratlp's, written out term by term: the
+    structurals, then one slack per row (sign -1 for >= rows); the start
+    point is all upper bounds when they are finite and satisfy every
+    row, else all lower bounds; the entering column is the first whose
+    reduced cost improves; the blocking row has the smallest limit, on
+    equal limits the smaller basic column; a bound flip wins a tie with
+    it.  Returns (status, moves) with (row, column) for a pivot and
+    (-1, column) for a bound flip, or None when a row fails at the start
+    point, where ratlp would add an artificial and run phase 1.
+    """
+    nv, m = model.n_vars, len(model.rows)
+    ncols = nv + m
+    senses = [sense for _, sense, _ in model.rows]
+    lo = list(model.lower) + [Fraction(0)] * m
+    up = list(model.upper) + [Fraction(0) if s == "=" else None
+                              for s in senses]
+
+    def slacks(x):
+        # a.x + sign * s = rhs, with sign -1 for >= rows
+        return [(rhs - sum(w * x[j] for j, w in terms.items()))
+                * (-1 if sense == ">=" else 1)
+                for terms, sense, rhs in model.rows]
+
+    def fit(s, sense):
+        return s == 0 if sense == "=" else s >= 0
+
+    at_upper = None not in model.upper and all(
+        map(fit, slacks(model.upper), senses))
+    start = list(model.upper if at_upper else model.lower)
+    x = start + slacks(start)
+    if not all(map(fit, x[nv:], senses)):
+        return None
+    flags = [at_upper] * nv + [False] * m
+    # row i: sum_j T[i][j] x_j = const, with T[i][basis[i]] == 1
+    T = []
+    for i, (terms, sense, _) in enumerate(model.rows):
+        row = [Fraction(0)] * ncols
+        for j, w in terms.items():
+            row[j] = -w if sense == ">=" else w
+        row[nv + i] = Fraction(1)
+        T.append(row)
+    basis = [nv + i for i in range(m)]
+    # reduced costs c - c_B T; the slacks cost nothing
+    d = list(model.objective) + [Fraction(0)] * m
+    moves = []
+    while True:
+        enter = direction = None
+        for j in range(ncols):
+            if j in basis or lo[j] == up[j]:
+                continue
+            if d[j] < 0 and not flags[j] or d[j] > 0 and flags[j]:
+                enter, direction = j, 1 if d[j] < 0 else -1
+                break
+        if enter is None:
+            return "optimal", moves
+        best = None  # ((limit, basic column), row)
+        for i, k in enumerate(basis):
+            t = T[i][enter] * direction  # x_k moves by -t per unit step
+            if t > 0:
+                limit = (x[k] - lo[k]) / t
+            elif t < 0 and up[k] is not None:
+                limit = (up[k] - x[k]) / -t
+            else:
+                continue
+            if best is None or (limit, k) < best[0]:
+                best = ((limit, k), i)
+        span = None if up[enter] is None else up[enter] - lo[enter]
+        if best is None and span is None:
+            return "unbounded", moves
+        flip = best is None or (span is not None and span <= best[0][0])
+        step = span if flip else best[0][0]
+        x[enter] += direction * step
+        for i, k in enumerate(basis):
+            x[k] -= T[i][enter] * direction * step
+        if flip:
+            flags[enter] = not flags[enter]
+            moves.append((-1, enter))
+            continue
+        r = best[1]
+        flags[basis[r]] = T[r][enter] * direction < 0
+        flags[enter] = False
+        pivot = T[r][enter]
+        T[r] = [w / pivot for w in T[r]]
+        for i in range(m):
+            if i != r and T[i][enter]:
+                factor = T[i][enter]
+                T[i] = [a - factor * b for a, b in zip(T[i], T[r])]
+        factor = d[enter]
+        d = [a - factor * b for a, b in zip(d, T[r])]
+        basis[r] = enter
+        moves.append((r, enter))

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import pitchcut
-from pitchcut import core, cutloop, gaplab
+from pitchcut import core, cutloop, gaplab, ratlp
 
 F = Fraction
 
@@ -185,6 +185,57 @@ def test_run_values_climb_and_cuts_are_valid():
         assert sum(report.cut_counts.values()) <= report.iterations
 
 
+@pytest.mark.parametrize("name, inst, families", [
+    ("lemma4-9", gaplab.gen_lemma4(9).normalize(), {"p12"}),
+    ("ola-9", gaplab.gen_ola(9).normalize(), {"kc", "p12"}),
+])
+def test_resumed_loop_matches_cold_solves(monkeypatch, name, inst, families):
+    # each round's resumed re-solve against a cold solve of a copy of the
+    # model, and the whole run against one that solves every round cold
+    config = cutloop.LoopConfig(families=frozenset(families), max_iter=40)
+    solve_lp, pivot = ratlp.solve_lp, ratlp._Tableau._pivot
+    pivots = {"resumed": 0, "cold": 0}
+    side = ["resumed"]
+    models = []
+
+    def counted(tab, *args):
+        pivots[side[0]] += 1
+        return pivot(tab, *args)
+
+    def checked(model, callback):
+        def round_(solution):
+            twin = ratlp.LPModel()
+            twin.lower, twin.upper = list(model.lower), list(model.upper)
+            twin.objective, twin.rows = list(model.objective), list(model.rows)
+            side[0] = "cold"
+            cold = solve_lp(twin)
+            side[0] = "resumed"
+            assert cold == solution
+            return callback(solution)
+        models.append(model)
+        return solve_lp(model, round_)
+
+    def all_cold(model, callback):
+        models.append(model)
+        while True:
+            solution = solve_lp(model)
+            rows = callback(solution)
+            if not rows:
+                return solution
+            for row in rows:
+                model.add_row(*row)
+
+    monkeypatch.setattr(ratlp._Tableau, "_pivot", counted)
+    monkeypatch.setattr(ratlp, "solve_lp", checked)
+    resumed = cutloop.run(inst, config, instance_id=name)
+    assert 0 < pivots["resumed"] < pivots["cold"]
+    monkeypatch.setattr(ratlp, "solve_lp", all_cold)
+    cold = cutloop.run(inst, config, instance_id=name)
+    assert resumed == cold
+    assert resumed.reason == "certified" and resumed.iterations > 5
+    assert models[0].rows == models[1].rows
+
+
 
 _SUMMARY = """\
 from fractions import Fraction as F
@@ -225,6 +276,17 @@ try:  # the valid pitch-1 cut on I = {0, 1, 3} for its pitch-2 cut
 except core.VerificationError:
     rejected.append("p12")
 sep._line2_cut = line2_cut
+solve_lp = ratlp.solve_lp
+def falling(model, callback):
+    for value in (F(2), F(1)):
+        callback(ratlp.LPSolution("optimal", (F(0),) * model.n_vars, value,
+                                  ()))
+ratlp.solve_lp = falling
+try:  # an LP value that falls after a cut
+    cutloop.run(worked, config)
+except core.VerificationError:
+    rejected.append("value")
+ratlp.solve_lp = solve_lp
 print(__debug__, report.final_lp, report.reason, report.iterations,
       sorted(report.cut_counts.items()), rejected)
 """
@@ -244,6 +306,7 @@ def test_run_is_unchanged_under_python_O(capsys):
     debug, summary = proc.stdout.split(" ", 1)
     assert debug == "False"
     assert summary == here
-    # the LP certificate, the cut pool check, the KC kernel check and
-    # the pitch-1/2 winner's score check all still reject
-    assert summary.endswith(" ['lp', 'cut', 'kc', 'p12']\n")
+    # the LP certificate, the cut pool check, the KC kernel check, the
+    # pitch-1/2 winner's score check and the loop's monotone LP value
+    # all still reject
+    assert summary.endswith(" ['lp', 'cut', 'kc', 'p12', 'value']\n")

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from pitchcut import gaplab, ratlp
 from pitchcut.core import VerificationError
 
@@ -259,6 +260,18 @@ def test_verifier_agrees_with_the_kkt_conditions():
     model.add_row({x: F(1)}, ">=", F(0))
     with pytest.raises(VerificationError, match="dual sign"):
         ratlp._verify_optimal(model, (F(0),), (F(-1),), F(0))
+    # the row scaling kept between checks is redone for a replaced row
+    # and for a coefficient map edited in place
+    scaled = []
+    ratlp._verify_optimal(model, (F(0),), (F(0),), F(0), scaled)
+    model.rows[0] = ({x: F(1)}, ">=", F(1))
+    with pytest.raises(VerificationError, match="row violated"):
+        ratlp._verify_optimal(model, (F(0),), (F(0),), F(0), scaled)
+    model.rows[0] = ({x: F(1)}, "<=", F(1))
+    ratlp._verify_optimal(model, (F(1),), (F(0),), F(0), scaled)
+    model.rows[0][0][x] = F(2)
+    with pytest.raises(VerificationError, match="row violated"):
+        ratlp._verify_optimal(model, (F(1),), (F(0),), F(0), scaled)
 
 
 def test_against_float_solver():
@@ -334,8 +347,8 @@ def test_tableau_invariants_hold_at_every_exit(monkeypatch):
     scales = set()
     init, run = ratlp._Tableau.__init__, ratlp._Tableau.run
 
-    def recorded_init(tableau, model):
-        init(tableau, model)
+    def recorded_init(tableau, model, *args, **kwargs):
+        init(tableau, model, *args, **kwargs)
         # the artificial of each row that starts with one, and its sign
         # in that row
         artificials = {}
@@ -409,3 +422,199 @@ def test_tableau_invariants_hold_at_every_exit(monkeypatch):
     assert all(statuses.values())
     assert all(exits.values())
     assert scales - {1, 2}  # fractional_bound_model's thirds reach L = 6
+
+
+def copy_model(model):
+    twin = ratlp.LPModel()
+    twin.lower = list(model.lower)
+    twin.upper = list(model.upper)
+    twin.objective = list(model.objective)
+    twin.rows = list(model.rows)
+    return twin
+
+
+def box_rowgen_model(rng):
+    # the cut loop's shape: a [0, 1] box and >= rows that hold at the
+    # all-ones start point
+    model = ratlp.LPModel()
+    n = rng.randint(2, 6)
+    for _ in range(n):
+        model.add_var(lb=0, ub=1, obj=F(rng.randint(-1, 6), rng.randint(1, 3)))
+    for _ in range(rng.randint(1, 2)):
+        terms = {j: F(rng.randint(1, 4)) for j in range(n)
+                 if rng.random() < 0.7} or {0: F(1)}
+        model.add_row(terms, ">=", rng.randint(1, int(sum(terms.values()))))
+    return model
+
+
+def lower_rowgen_model(rng):
+    # a column with no upper bound forces the all-lower start point, and
+    # every row holds there, so there is no artificial
+    model = ratlp.LPModel()
+    n = rng.randint(2, 5)
+    for j in range(n):
+        lb = rng.choice([F(0), F(0), F(1, 2)])
+        ub = None if j == 0 or rng.random() < 0.3 else lb + rng.randint(1, 2)
+        obj = F(rng.randint(0, 3)) if ub is None else F(rng.randint(-4, 2))
+        model.add_var(lb=lb, ub=ub, obj=obj)
+    for _ in range(rng.randint(1, 3)):
+        terms = {j: F(rng.randint(-2, 3)) for j in range(n)
+                 if rng.random() < 0.7} or {1: F(1)}
+        at_lower = sum(w * model.lower[j] for j, w in terms.items())
+        sense = rng.choice(["<=", "<=", ">=", "="])
+        slack = 0 if sense == "=" else F(rng.randint(0, 6), 2)
+        model.add_row(terms, sense,
+                      at_lower - slack if sense == ">=" else at_lower + slack)
+    return model
+
+
+def start_point(model):
+    # the point the solver starts from, as in reference_simplex_moves
+    def holds(row, x):
+        terms, sense, rhs = row
+        lhs = sum(w * x[j] for j, w in terms.items())
+        return {">=": lhs >= rhs, "<=": lhs <= rhs, "=": lhs == rhs}[sense]
+    if None not in model.upper and all(holds(row, model.upper)
+                                       for row in model.rows):
+        return model.upper
+    return model.lower
+
+
+def generated_rows(rng, model, x, kinds):
+    """1 to 3 new rows for the optimum x, of the given kinds in turn."""
+    s = start_point(model)
+    rows = []
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(kinds)
+        if kind == "tie":
+            # an old row again, maybe scaled: its ratio-test limits tie
+            # those of the old row at every move
+            terms, sense, rhs = rng.choice(model.rows)
+            k = rng.choice([F(1), F(2), F(1, 3)])
+            rows.append(({j: k * w for j, w in terms.items()}, sense, k * rhs))
+            continue
+        terms = {j: F(rng.randint(-3, 3), rng.choice([1, 2]))
+                 for j in range(model.n_vars) if rng.random() < 0.8}
+        at_x = sum(w * x[j] for j, w in terms.items())
+        at_s = sum(w * s[j] for j, w in terms.items())
+        if not terms or at_x == at_s:
+            continue
+        # ">=" holds at whichever of the two points is higher
+        high, low = (">=", "<=") if at_s > at_x else ("<=", ">=")
+        if kind == "cut":
+            # holds at the start point, cuts x off
+            rows.append((terms, high, (at_x + at_s) / 2))
+        elif kind == "loose":
+            # holds at both points, tight at one
+            rows.append(rng.choice([(terms, high, at_x), (terms, low, at_s)]))
+        else:
+            # holds at x, fails at the start point: a cold solve follows
+            rows.append((terms, low, at_x))
+    return rows
+
+
+def test_resumed_row_generation_matches_cold_solves(monkeypatch):
+    # every round of row generation resumes the last solve; it must
+    # make the moves of a cold solve of a copy of the model, end in the
+    # same tableau and give the same answer, and both must make the
+    # moves of the term-by-term Fraction simplex
+    solve, resume = ratlp._solve, ratlp._Tableau.resume
+    solved = []
+    outcomes = {"cold": 0, "replayed": 0, "undone": 0, "flip": 0,
+                "pivot": 0}
+
+    def recorded_solve(model, tab, scaled):
+        solved.append(tab)
+        return solve(model, tab, scaled)
+
+    def recorded_resume(tab, model):
+        logged = len(tab.moves) if tab.moves is not None else 0
+        resumed = resume(tab, model)
+        if not resumed:
+            outcomes["cold"] += 1
+        else:
+            outcomes["undone" if len(tab.moves) < logged else "replayed"] += 1
+        return resumed
+
+    def moves(tab):
+        if tab.moves is None:
+            return None
+        return [(row, enter) for enter, _, _, _, _, row, _, _ in tab.moves]
+
+    def state(tab):
+        return (tab.T, tab.D, tab.basis, tab.at_upper, tab.d, tab.dden,
+                tab.lo, tab.up, tab.slack_sign, tab.ncols)
+
+    monkeypatch.setattr(ratlp, "_solve", recorded_solve)
+    monkeypatch.setattr(ratlp._Tableau, "resume", recorded_resume)
+    rng = random.Random(37)
+    for k in range(150):
+        model = (box_rowgen_model if k % 2 else lower_rowgen_model)(rng)
+        kinds = ["cut", "cut", "loose", "tie"]
+        if k % 5 == 0:
+            kinds.append("cold")
+        rounds = []
+
+        def callback(solution):
+            tab = solved[-1]
+            twin = copy_model(model)
+            twin_tab = ratlp._Tableau(twin, record=True)
+            cold = solve(twin, twin_tab)
+            assert cold == solution
+            assert moves(tab) == moves(twin_tab)
+            assert state(tab) == state(twin_tab)
+            reference = oracles.reference_simplex_moves(twin)
+            if reference is not None:
+                assert reference == ("optimal", moves(twin_tab))
+                for row, _ in reference[1]:
+                    outcomes["flip" if row < 0 else "pivot"] += 1
+            rounds.append(solution.objective)
+            if len(rounds) > 6:
+                return []
+            return generated_rows(rng, model, solution.primal, kinds)
+
+        final = ratlp.solve_lp(model, callback)
+        twin = copy_model(model)
+        assert ratlp.solve_lp(twin) == final
+        if final.status != "optimal":
+            reference = oracles.reference_simplex_moves(twin)
+            assert reference is None or reference[0] == final.status
+    assert all(outcomes.values()), outcomes
+
+
+def test_row_generation_after_a_row_is_replaced_or_edited():
+    # a callback that swaps one of the model's rows for another row
+    # object gets the cold answer, not a resume of a tableau built for
+    # the old row; the ones point is optimal under the old row only
+    model = ratlp.LPModel()
+    x = model.add_var(lb=0, ub=1, obj=-1)
+    y = model.add_var(lb=0, ub=1, obj=-1)
+    model.add_row({x: F(1), y: F(1)}, "<=", F(2))
+    rounds = []
+
+    def callback(solution):
+        rounds.append(solution)
+        if len(rounds) > 1:
+            return []
+        model.rows[0] = ({x: F(1), y: F(1)}, "<=", F(1))
+        return [({x: F(1)}, "<=", F(1))]
+
+    final = ratlp.solve_lp(model, callback)
+    assert rounds[0].primal == (F(1), F(1))
+    assert final == ratlp.solve_lp(copy_model(model))
+    assert final.objective == -1
+    # a row edited in place is not supported; the stale answer fails
+    # the certificate check instead of coming back
+    model = ratlp.LPModel()
+    x = model.add_var(lb=0, ub=1, obj=-1)
+    y = model.add_var(lb=0, ub=1, obj=-1)
+    model.add_row({x: F(1), y: F(1)}, "<=", F(2))
+
+    def edit(solution):
+        if len(model.rows) > 1:
+            return []
+        model.rows[0][0].update({x: F(2), y: F(2)})
+        return [({x: F(1)}, "<=", F(1))]
+
+    with pytest.raises(VerificationError, match="row violated"):
+        ratlp.solve_lp(model, edit)
