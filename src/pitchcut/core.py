@@ -12,8 +12,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
-Rational = Fraction
-
 FAMILIES = (
     "pitch1",
     "pitch2-canonical",
@@ -319,25 +317,39 @@ class Pitch2Canonical:
     I2: tuple
 
 
+def line2_split(r, I, bq):
+    """Integer coefficients, rhs and family of the cut induced by I.
+
+    r are the integer profits, bq = q * beta(I) > 0.  The canonical
+    pitch-2 cut puts 1 on I1 = {i in I : r_i < bq} and 2 on the rest,
+    rhs 2; when the split degenerates (|I| < 2, or I1 empty) it is the
+    pitch-1 cut on the positive-profit members, rhs 1.
+    """
+    if len(I) >= 2 and any(r[i] < bq for i in I):
+        return {i: 1 if r[i] < bq else 2 for i in I}, 2, "pitch2-canonical"
+    return {i: 1 for i in I if r[i] > 0}, 1, "pitch1"
+
+
 def pitch2_split(inst, I):
     """Split I into (I1, I2) at beta(I), checking each precondition.
 
-    Raises ValueError naming the failed condition: |I| < 2, beta(I) <= 0,
-    or I1 empty.
+    Raises ValueError naming the failed condition: an index outside
+    range(n), |I| < 2, beta(I) <= 0, or I1 empty.
     """
     I = tuple(sorted(set(I)))
+    if I and not 0 <= I[0] <= I[-1] < inst.n:
+        raise ValueError("I is not contained in range(%d)" % inst.n)
     if len(I) < 2:
         raise ValueError("canonical pitch-2 needs |I| >= 2, got %d" % len(I))
-    inside = set(I)
-    betaI = Fraction(1) - sum(
-        inst.profits[i] for i in range(inst.n) if i not in inside
-    )
-    if betaI <= 0:
+    bq = inst.q - sum(inst.r) + sum(inst.r[i] for i in I)
+    betaI = Fraction(bq, inst.q)
+    if bq <= 0:
         raise ValueError("beta(I) = %s is not positive" % (betaI,))
-    I1 = tuple(i for i in I if inst.profits[i] < betaI)
-    if not I1:
+    coefficients, _, family = line2_split(inst.r, I, bq)
+    if family != "pitch2-canonical":
         raise ValueError("I1 is empty: every profit in I reaches beta(I) = %s" % (betaI,))
-    I2 = tuple(i for i in I if inst.profits[i] >= betaI)
+    I1 = tuple(i for i in I if coefficients[i] == 1)
+    I2 = tuple(i for i in I if coefficients[i] == 2)
     return Pitch2Canonical(I=I, betaI=betaI, I1=I1, I2=I2)
 
 

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from . import cutloop, knapdp, sep
+from . import cutloop, knapdp
 from .core import (
     Instance,
     VerificationError,
@@ -269,18 +269,11 @@ def _check_lemma4_point(inst, n):
     point = inst.from_input_order(lemma4_point(n))
     if natural_row(inst).lhs(point) < 1:
         raise VerificationError("the lemma-4 point violates the knapsack row")
-    if inst.n <= 20:
-        for cut in sep.enumerate_pitch1(inst):
-            if cut.lhs(point) < cut.rhs:
-                raise VerificationError(
-                    "the lemma-4 point violates a pitch-1 cut")
-    else:
-        # exact covering value at the lowest grid level is >= 2 exactly
-        # when every pitch-1 inequality holds at the point
-        probe = knapdp.solve_Palpha(inst, point, Fraction(1, inst.q))
-        if probe.value < 2:
-            raise VerificationError(
-                "the lemma-4 point violates a pitch-1 cut")
+    # exact covering value at the lowest grid level is >= 2 exactly
+    # when every pitch-1 inequality holds at the point
+    probe = knapdp.solve_Palpha(inst, point, Fraction(1, inst.q))
+    if probe.value < 2:
+        raise VerificationError("the lemma-4 point violates a pitch-1 cut")
 
 
 def _run_lemma4(n, eps, max_iter):

@@ -35,9 +35,10 @@ rows and runs on.  Rows in lowest terms, the value column and the
 reduced-cost row are canonical for a basis and the nonbasic columns'
 bound flags, so that state is the cold solve's bit for bit, and so are
 every later pivot, the vertex and the duals.  A solve that needed
-phase 1, a new row that the start point violates, or a model whose
-earlier rows are no longer the row objects the tableau was built from
-falls back to a cold solve.
+phase 1, or a new row that the start point violates, falls back to a
+cold solve.  Row generation runs on its own copy of the model, taken
+when it starts, so nothing the callback does to the caller's model can
+make the tableau disagree with the rows it solves.
 """
 
 from __future__ import annotations
@@ -274,11 +275,11 @@ class _Tableau:
     All of this is canonical: the basis and the nonbasic columns' flags
     determine every entry, whatever path led to them.
 
-    With record set and no artificial, run logs its moves in moves, so
-    that resume can take the tableau on to a model with more rows.
+    With no artificial, run logs its moves in moves, so that resume can
+    take the tableau on to the same model with more rows.
     """
 
-    def __init__(self, model, record=False):
+    def __init__(self, model):
         m = len(model.rows)
         nv = model.n_vars
         self.m = m
@@ -329,20 +330,13 @@ class _Tableau:
         self.cost = None  # the cost of the reduced-cost row, set by run
         self.d = None
         self.dden = 1
-        # what resume needs, kept for row generation only.  moves logs
-        # each move of the last run as (enter, direction, num, den,
-        # basic, row, pivot, nonzero): num / den is the ratio-test
-        # winner with its basic column, or basic -1 when no row blocks;
-        # a pivot has the winner's row and the pivot row's denominator
-        # and nonzero entries after the pivot, a bound flip row -1 and
-        # nonzero None.  rows are the model's row objects the tableau
-        # holds, variables its bounds and objective
-        self.moves = self.rows = self.variables = None
-        if record and not n_art:
-            self.moves = []
-            self.rows = model.rows[:]
-            self.variables = (model.lower[:], model.upper[:],
-                              model.objective[:])
+        # what resume needs.  moves logs each move of the last run as
+        # (enter, direction, num, den, basic, row, pivot, nonzero):
+        # num / den is the ratio-test winner with its basic column, or
+        # basic -1 when no row blocks; a pivot has the winner's row and
+        # the pivot row's denominator and nonzero entries after the
+        # pivot, a bound flip row -1 and nonzero None
+        self.moves = None if n_art else []
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
@@ -454,21 +448,17 @@ class _Tableau:
     def resume(self, model):
         """Take the tableau on to the model's rows beyond its own.
 
-        The new rows enter at the point of the logged run where a cold
-        solve of the larger model would first move differently, so that
-        one more run makes exactly the cold solve's moves.  Returns
-        False, with the tableau unchanged, when that cannot be done: the
-        last run was not logged, the model's variables changed, its first
-        rows are not the row objects the tableau holds, or a new row
-        would need an artificial at the start point.  A row edited in
-        place is not noticed here; _verify_optimal checks the answer
-        against the edited row.
+        model is the one the tableau was built from, with rows appended
+        since and nothing else changed.  The new rows enter at the point
+        of the logged run where a cold solve of the larger model would
+        first move differently, so that one more run makes exactly the
+        cold solve's moves.  Returns False, with the tableau unchanged,
+        when that cannot be done: the last run needed phase 1, so it
+        was not logged, or a new row would need an artificial at the
+        start point.
         """
         m, ncols = self.m, self.ncols
-        if self.moves is None or (
-                model.lower, model.upper, model.objective) != self.variables:
-            return False
-        if any(a is not b for a, b in zip(model.rows, self.rows)):
+        if self.moves is None:
             return False
         added = model.rows[m:]
         rows = [_scaled_row(coefficients, rhs)
@@ -532,7 +522,6 @@ class _Tableau:
             self.D.append(den)
             self.basis.append(basic)
         self.slack_sign.extend(signs)
-        self.rows.extend(added)
         self.m += len(added)
         self.ncols = width
         return True
@@ -596,12 +585,8 @@ def _verify_optimal(model, primal, duals, objective_value, scaled=None):
     and scales the rows itself instead of calling _scaled_row, so that
     a scaling fault in the solver cannot pass its own check.  scaled
     may keep that scaling between the checks of one row-generation
-    loop: entry i is (row, coefficients, den, terms, b) for the row
-    object model.rows[i], with a copy of its coefficient map, and is
-    made again when model.rows[i] is another object or its map no
-    longer equals the copy.  Coefficients are immutable Fractions, so
-    the comparison is by identity, in C, and catches a map edited in
-    place.
+    loop, whose model only ever gains rows: entry i is (den, terms, b)
+    for model.rows[i], made when row i is first checked.
     The sums are integer dot products: the primal is scaled to integers
     X over its common denominator P, each row to integers over its own
     denominator, and the reduced costs c - sum_i y_i a_i to integers
@@ -616,19 +601,16 @@ def _verify_optimal(model, primal, duals, objective_value, scaled=None):
     priced = []  # (y, den, terms, b) of the rows with a nonzero dual
     if scaled is None:
         scaled = []
-    for i, (row, y) in enumerate(zip(model.rows, duals)):
-        coefficients, sense, rhs = row
-        if (i < len(scaled) and scaled[i][0] is row
-                and scaled[i][1] == coefficients):
-            den, terms, b = scaled[i][2:]
-        else:
+    for i, ((coefficients, sense, rhs), y) in enumerate(
+            zip(model.rows, duals)):
+        if i == len(scaled):
             den = lcm(rhs.denominator,
                       *(w.denominator for w in coefficients.values()))
             terms = [(j, w.numerator * (den // w.denominator))
                      for j, w in coefficients.items()]
             b = rhs.numerator * (den // rhs.denominator)
-            del scaled[i:]
-            scaled.append((row, dict(coefficients), den, terms, b))
+            scaled.append((den, terms, b))
+        den, terms, b = scaled[i]
         # lhs and b * P are a.x and rhs, both times den * P
         lhs = sum(w * X[j] for j, w in terms)
         if sense == ">=":
@@ -708,7 +690,10 @@ def solve_lp(model, row_callback=None):
     When row_callback is given it is called with each optimal solution
     and may return an iterable of (coefficients, sense, rhs) rows to
     append; solving repeats until the callback returns nothing.  The
-    model object accumulates the generated rows.
+    model object accumulates copies of the generated rows, but the
+    solves run on a copy of the model taken at the start: edits the
+    callback makes to model itself, such as a replaced row, a map
+    changed in place or a changed bound, are not seen.
 
     A re-solve does not start over: it replays the new rows through
     the last solve's logged moves up to the first one they change, goes
@@ -717,23 +702,30 @@ def solve_lp(model, row_callback=None):
     and the tableau is canonical for its basis and bound flags, so the
     re-solve makes exactly the cold solve's pivots and flips and
     returns the same vertex and duals.  It is a cold solve instead when
-    the last solve needed artificials, a new row fails at the start
-    point, or the callback added rows to the model itself, replaced one
-    of its rows or changed its variables.  A row must not be edited in
-    place: the re-solve would not notice, and an answer that the edit
-    makes wrong fails the certificate check with VerificationError.
+    the last solve needed phase 1 or a new row fails at the start
+    point.
     """
-    tab = _Tableau(model, record=row_callback is not None)
+    if row_callback is None:
+        return _solve(model, _Tableau(model))
+    solved = LPModel()
+    solved.lower = model.lower[:]
+    solved.upper = model.upper[:]
+    solved.objective = model.objective[:]
+    solved.rows = [(dict(coefficients), sense, rhs)
+                   for coefficients, sense, rhs in model.rows]
+    tab = _Tableau(solved)
     scaled = []
     while True:
-        solution = _solve(model, tab, scaled)
-        if solution.status != "optimal" or row_callback is None:
+        solution = _solve(solved, tab, scaled)
+        if solution.status != "optimal":
             return solution
         new_rows = row_callback(solution)
         new_rows = list(new_rows) if new_rows else []
         if not new_rows:
             return solution
         for coefficients, sense, rhs in new_rows:
-            model.add_row(coefficients, sense, rhs)
-        if len(model.rows) != tab.m + len(new_rows) or not tab.resume(model):
-            tab = _Tableau(model, record=True)
+            solved.add_row(coefficients, sense, rhs)
+            coefficients, sense, rhs = solved.rows[-1]
+            model.rows.append((dict(coefficients), sense, rhs))
+        if not tab.resume(solved):
+            tab = _Tableau(solved)

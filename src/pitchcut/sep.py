@@ -34,6 +34,7 @@ from .core import (
     VerificationError,
     as_point,
     kc_inequality,
+    line2_split,
     make_inequality,
     natural_row,
     scaled_point,
@@ -86,23 +87,15 @@ def _pitch1_cut(inst, members):
 
 
 def _line2_split(inst, chosen, base):
-    """Integer coefficients, rhs and family of the cut induced by I = chosen.
-
-    beta(I) = bq/q with bq = sum_{i in I} r_i - base, base = sum(r) - q.
-    The canonical pitch-2 cut puts 1 on I1 = {i in I : r_i < bq} and 2
-    on the rest, rhs 2; when the split degenerates (singleton I, or I1
-    empty) it is the pitch-1 cut on the positive-profit members, rhs 1.
-    """
+    """core.line2_split of I = chosen, with beta(I) = bq/q for bq =
+    sum_{i in I} r_i - base, base = sum(r) - q."""
     bq = sum(inst.r[i] for i in chosen) - base
     # the cover constraint of the subproblem leaves beta(I) >= alpha > 0
     if bq <= 0:
         raise VerificationError(
             "a level-alpha solution left beta(I) = %s, not positive"
             % (Fraction(bq, inst.q),))
-    if len(chosen) >= 2 and any(inst.r[i] < bq for i in chosen):
-        coefficients = {i: 1 if inst.r[i] < bq else 2 for i in chosen}
-        return coefficients, 2, "pitch2-canonical"
-    return {i: 1 for i in chosen if inst.r[i] > 0}, 1, "pitch1"
+    return line2_split(inst.r, chosen, bq)
 
 
 def _line2_cut(inst, chosen):
@@ -330,6 +323,15 @@ def separate_fixed_support(inst, xbar, I, pitch_limit=None, budget=None):
     )
 
 
+def _subset_sums(weights):
+    """sums[mask] = the sum of weights[k] over the bits k of mask."""
+    sums = [0] * (1 << len(weights))
+    for mask in range(1, len(sums)):
+        low = mask & -mask
+        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    return sums
+
+
 def enumerate_pitch1(inst):
     """All undominated pitch-1 cuts: minimal T with profit outside T < 1.
 
@@ -341,10 +343,7 @@ def enumerate_pitch1(inst):
     positive = [i for i in range(inst.n) if inst.r[i] > 0]
     weights = [inst.r[i] for i in positive]
     m = len(positive)
-    sums = [0] * (1 << m)
-    for mask in range(1, 1 << m):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + weights[low.bit_length() - 1]
+    sums = _subset_sums(weights)
     full = (1 << m) - 1
     out = []
     for mask in range(1 << m):
@@ -363,37 +362,21 @@ def enumerate_pitch1(inst):
 
 def enumerate_pitch2(inst):
     """All canonical pitch-2 cuts: every I with |I| >= 2, beta(I) > 0 and
-    some member profit below beta(I).  n <= 16."""
+    some member profit below beta(I), in mask order.  n <= 16."""
     if inst.n > 16:
         raise ValueError("pitch-2 enumeration is limited to n <= 16")
     n = inst.n
-    total = sum(inst.r)
-    sums = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        low = mask & -mask
-        sums[mask] = sums[mask ^ low] + inst.r[low.bit_length() - 1]
+    base = sum(inst.r) - inst.q
+    sums = _subset_sums(inst.r)
     out = []
-    seen = set()
     for mask in range(1, 1 << n):
-        if mask.bit_count() < 2:
-            continue
-        bq = inst.q - (total - sums[mask])
+        bq = sums[mask] - base
         if bq <= 0:
             continue
-        low = mask & -mask
-        if inst.r[low.bit_length() - 1] >= bq:
-            continue  # I1 empty: profits sorted, the lowest member decides
-        coefficients = {}
-        probe = mask
-        while probe:
-            bit = probe & -probe
-            i = bit.bit_length() - 1
-            coefficients[i] = Fraction(1) if inst.r[i] < bq else Fraction(2)
-            probe ^= bit
-        cut = make_inequality(coefficients, Fraction(2), "pitch2-canonical")
-        if cut.key() not in seen:
-            seen.add(cut.key())
-            out.append(cut)
+        I = [i for i in range(n) if mask >> i & 1]
+        coefficients, rhs, family = line2_split(inst.r, I, bq)
+        if family == "pitch2-canonical":
+            out.append(make_inequality(coefficients, rhs, family))
     return out
 
 

@@ -273,10 +273,43 @@ def test_pitch2_split_rejects_each_precondition():
     inst = worked_instance()
     with pytest.raises(ValueError, match="needs"):
         core.pitch2_split(inst, (0,))
+    for I in ((-1, 0), (0, 4)):
+        with pytest.raises(ValueError, match="not contained"):
+            core.pitch2_split(inst, I)
     with pytest.raises(ValueError, match="not positive"):
         core.pitch2_split(inst, (0, 1))
     with pytest.raises(ValueError, match="I1 is empty"):
         core.pitch2_split(inst, (2, 3))
+
+
+def test_pitch2_canonical_matches_the_term_by_term_split():
+    # every I of small random instances: the canonical cut where the
+    # Fraction reference splits canonically, else the ValueError of the
+    # precondition that fails
+    rng = random.Random(23)
+    errors = {"needs": 0, "not positive": 0, "I1 is empty": 0}
+    cuts = 0
+    for seed in range(20):
+        inst = gaplab.gen_random(rng.randint(2, 7), 400 + seed).normalize()
+        for I in oracles.subsets(inst.n):
+            outside = sum(inst.profits[i] for i in range(inst.n)
+                          if i not in I)
+            if len(I) < 2:
+                error = "needs"
+            elif outside >= 1:
+                error = "not positive"
+            else:
+                terms, rhs, family = oracles.reference_line2_cut(inst, I)
+                error = None if family == "pitch2-canonical" else "I1 is empty"
+            if error is not None:
+                with pytest.raises(ValueError, match=error):
+                    core.pitch2_canonical(inst, I)
+                errors[error] += 1
+                continue
+            cut = core.pitch2_canonical(inst, I)
+            assert (cut.terms, cut.rhs, cut.family) == (terms, rhs, family)
+            cuts += 1
+    assert cuts and all(errors.values()), errors
 
 
 def test_pitch2_canonical_always_valid():

@@ -103,8 +103,14 @@ def test_lemma4_point():
 def test_witness_checks_raise_rather_than_assert():
     # all profit on one item at x = 1/3: the lemma-4 point misses the row
     skewed = core.normalize((F(1),) * 6, (F(0),) * 5 + (F(1),), F(1))
-    with pytest.raises(core.VerificationError):
+    with pytest.raises(core.VerificationError, match="knapsack row"):
         gaplab._check_lemma4_point(skewed, 4)
+    # (y, z, x1..x4) with profits (1/2, 0, 1, 1, 0, 0): the point meets
+    # the row at 7/6 but not the pitch-1 cut x1 + x2 >= 1, at 2/3
+    profits = (F(1, 2), F(0), F(1), F(1), F(0), F(0))
+    uncut = core.normalize((F(1),) * 6, profits, F(1))
+    with pytest.raises(core.VerificationError, match="pitch-1 cut"):
+        gaplab._check_lemma4_point(uncut, 4)
     # any two of seven halves cover, so the wild cuts are not valid here
     halves = core.normalize((F(1),) * 7, (F(1, 2),) * 7, F(1))
     with pytest.raises(core.VerificationError):
