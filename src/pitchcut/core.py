@@ -52,6 +52,9 @@ class VerificationError(KnapsackError):
 
 def _frac(x):
     # Fraction() accepts int/str/Fraction; floats are refused on purpose.
+    # A Fraction is immutable, so it is passed through uncopied.
+    if type(x) is Fraction:
+        return x
     if isinstance(x, float):
         raise TypeError("floats are not accepted, pass Fraction or int")
     return Fraction(x)

@@ -28,6 +28,7 @@ from . import cutloop, knapdp
 from .core import (
     Instance,
     VerificationError,
+    _frac,
     compute_pitch,
     is_valid,
     make_inequality,
@@ -157,7 +158,7 @@ def gen_lemma4(n, eps=Fraction(1, 8)):
     s = _square_root(n)
     if n < 4:
         raise ValueError("need n >= 4")
-    eps = Fraction(eps)
+    eps = _frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     labels = ("y", "z") + tuple("x%d" % (i + 1) for i in range(n))
@@ -342,7 +343,8 @@ def experiment_gap_table(family, ns, eps=Fraction(1, 8), k=2, seed=1,
                          max_iter=None):
     """One ExperimentRow per n: build the instance, run the family's
     prescribed cut configuration, measure.  A failing entry becomes an
-    error row instead of killing the table."""
+    error row instead of killing the table, except a failed exactness
+    check: VerificationError is a bug in pitchcut and propagates."""
     if family not in GAP_TABLE_FAMILIES:
         raise ValueError("unknown experiment family %r" % family)
     specs = []
@@ -369,6 +371,8 @@ def experiment_gap_table(family, ns, eps=Fraction(1, 8), k=2, seed=1,
         start = time.perf_counter()
         try:
             report = thunk()
+        except VerificationError:
+            raise
         except Exception as exc:
             ms = int(round((time.perf_counter() - start) * 1000))
             rows.append(ExperimentRow(

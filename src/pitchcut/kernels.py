@@ -19,7 +19,6 @@ except ImportError:
 HAVE_SPEEDUPS = _speedups is not None
 
 _LIMIT = 1 << 62
-_KC_MAX_N = 22
 
 
 def min_cover_solve(r, obj, need):
@@ -47,6 +46,6 @@ def max_profit_solve(cost, r, budget, target):
 
 def kc_best_subset(r, a, X, q):
     # |acc| <= (q + sum r) * X throughout the scan
-    if _speedups is not None and len(r) <= _KC_MAX_N and (q + sum(r)) * X < _LIMIT:
+    if _speedups is not None and (q + sum(r)) * X < _LIMIT:
         return _speedups.kc_best_subset(r, a, X, q)
     return _kernels_py.kc_best_subset(r, a, X, q)

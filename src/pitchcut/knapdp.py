@@ -59,6 +59,9 @@ def _coerce_objective(objective, n):
 
 
 def _check_budget(cells, budget):
+    # every DP table passes through here; None is the default budget
+    if budget is None:
+        budget = DEFAULT_BUDGET
     if cells > budget:
         raise BudgetExceededError(
             "DP table needs %d cells, budget is %d" % (cells, budget)
@@ -177,7 +180,6 @@ def solve_exact(inst, objective, budget=None):
     smallest index tuple.  Raises BudgetExceededError when the profit
     DP would exceed the cell budget (default 10^8).
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
     obj = _coerce_objective(objective, inst.n)
     value, chosen = _exact_cover(inst.r, obj, inst.q, budget)
     return KnapSolution(value=value, chosen=chosen, mode="exact")
@@ -186,7 +188,7 @@ def solve_exact(inst, objective, budget=None):
 def _coerce_eps(eps):
     if eps is None:
         raise ValueError("fptas mode needs eps")
-    eps = Fraction(eps)
+    eps = _frac(eps)
     if eps <= 0:
         raise ValueError("eps must be positive")
     return eps
@@ -194,7 +196,6 @@ def _coerce_eps(eps):
 
 def solve_fptas(inst, objective, eps, budget=None):
     """Feasible solution with objective value at most (1+eps) optimal."""
-    budget = DEFAULT_BUDGET if budget is None else budget
     eps = _coerce_eps(eps)
     costs, D = scaled_point(_coerce_objective(objective, inst.n))
     value, chosen = _fptas_cover(inst.r, costs, inst.q, eps, budget)
@@ -210,8 +211,7 @@ def solve_Palpha(inst, xbar, alpha, mode="exact", eps=None, budget=None):
     cover sum r_i z_i >= sum(r) - q + alpha*q.  alpha must be a multiple
     of 1/q.  Returns the chosen set I = {i : z_i = 1}.
     """
-    budget = DEFAULT_BUDGET if budget is None else budget
-    alpha = Fraction(alpha)
+    alpha = _frac(alpha)
     if not 0 < alpha <= 1:
         raise ValueError("alpha must lie in (0, 1]")
     r_alpha = alpha * inst.q

@@ -31,7 +31,8 @@ ratio tests change only where a new row blocks first.  So the solver
 logs each move, replays the new rows through the log to the first move
 p that they change, goes back to the state before p by undoing the
 moves after it on the final tableau, newest first, appends the new
-rows and runs on.  Rows in lowest terms, the value column and the
+rows and runs on; a cold build appends its rows to an empty tableau by
+the same steps.  Rows in lowest terms, the value column and the
 reduced-cost row are canonical for a basis and the nonbasic columns'
 bound flags, so that state is the cold solve's bit for bit, and so are
 every later pivot, the vertex and the duals.  A solve that needed
@@ -46,9 +47,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import index, mul
 
-from .core import VerificationError
+from .core import VerificationError, _frac, scaled_point
 
 SENSES = (">=", "<=", "=")
 
@@ -74,23 +75,26 @@ class LPModel:
         return len(self.lower)
 
     def add_var(self, lb=0, ub=None, obj=0):
-        lb = Fraction(lb)
-        ub = None if ub is None else Fraction(ub)
+        if lb is None:
+            raise ValueError(
+                "variable %d needs a finite lower bound" % self.n_vars)
+        lb = _frac(lb)
+        ub = None if ub is None else _frac(ub)
         if ub is not None and ub < lb:
             raise ValueError("upper bound below lower bound")
         self.lower.append(lb)
         self.upper.append(ub)
-        self.objective.append(Fraction(obj))
+        self.objective.append(_frac(obj))
         return len(self.lower) - 1
 
     def add_row(self, coefficients, sense, rhs):
         if sense not in SENSES:
             raise ValueError("sense must be one of %r" % (SENSES,))
-        coefficients = {int(j): Fraction(w) for j, w in coefficients.items()}
+        coefficients = {index(j): _frac(w) for j, w in coefficients.items()}
         for j in coefficients:
             if not 0 <= j < self.n_vars:
                 raise ValueError("row references unknown variable %d" % j)
-        self.rows.append((coefficients, sense, Fraction(rhs)))
+        self.rows.append((coefficients, sense, _frac(rhs)))
         return len(self.rows) - 1
 
 
@@ -109,12 +113,6 @@ def _reduced(row, den):
         row = [w // g for w in row]
         den //= g
     return row, den
-
-
-def _integer_row(values):
-    """Integers nums and den > 0 with values[j] == nums[j] / den."""
-    den = lcm(*(v.denominator for v in values))
-    return _reduced([v.numerator * (den // v.denominator) for v in values], den)
 
 
 def _scaled_row(coefficients, rhs):
@@ -184,25 +182,6 @@ def _eliminate(row, den, col, pivot, nonzero):
     return _reduced(row, den)
 
 
-def _start_row(ncols, den, terms, residual, units):
-    """A row of the start tableau, as (row, den) in lowest terms.
-
-    terms are the row's scaled structural entries over den, units the
-    (column, sign) pairs of its slack and, if it has one, its
-    artificial; the last unit is the basic column, which gets
-    coefficient +1.  residual is the row's residual at the start point.
-    """
-    row = [0] * (ncols + 1)
-    for j, w in terms:
-        row[j] = w
-    for j, sign in units:
-        row[j] = sign * den
-    row[ncols] = residual
-    if units[-1][1] < 0:
-        row = [-w for w in row]
-    return _reduced(row, den)
-
-
 def _ratio_test(rows, enter, direction, lo, up, best=(0, 0, -1, -1)):
     """The row that blocks x_enter first as it moves in direction.
 
@@ -258,7 +237,8 @@ class _Tableau:
     A row whose slack fits its bounds at the start point starts with
     the slack basic, any other row with its artificial basic.
     Artificials carry the phase-1 objective and are frozen to [0, 0]
-    afterwards.
+    afterwards.  A build and resume add rows alike: _start_rows, then
+    _append.
 
     Bounds are the ints lo[j] and up[j] (None: no upper bound), the
     real bounds times L.  A nonbasic column sits at up[j] when
@@ -270,8 +250,8 @@ class _Tableau:
     as the residual of the row at the start point and goes through
     every row operation like any other column; moving a nonbasic
     column moves it.  The reduced-cost row d[j] / dden = c_j -
-    (c_B^T T)_j of the cost being run has no value entry; it is built
-    once per run and then updated by every pivot like any other row.
+    (c_B^T T)_j of the cost being run has no value entry, is 0 on
+    every basic column and is updated by every pivot like any other row.
     All of this is canonical: the basis and the nonbasic columns' flags
     determine every entry, whatever path led to them.
 
@@ -280,10 +260,7 @@ class _Tableau:
     """
 
     def __init__(self, model):
-        m = len(model.rows)
         nv = model.n_vars
-        self.m = m
-        self.nv = nv
         for j, lb in enumerate(model.lower):
             if lb is None:
                 raise ValueError("variable %d needs a finite lower bound" % j)
@@ -302,41 +279,76 @@ class _Tableau:
         self.start = self.lo[:] if residuals is None else self.up[:]
         if residuals is None:
             residuals = _residuals(rows, self.lo, L)
-        fits = list(map(_fits, residuals, senses))
-        n_art = fits.count(False)
-        self.ncols = ncols = nv + m + n_art
-        self.slack_sign = [-1 if sense == ">=" else 1 for sense in senses]
-        self.lo.extend([0] * (m + n_art))
-        self.up.extend([0 if sense == "=" else None for sense in senses])
-        self.up.extend([None] * n_art)
-        self.at_upper.extend([False] * (m + n_art))
 
-        # dense row system A x = b over all columns plus the value
-        # column, each row scaled so that its basic column has
-        # coefficient +1
+        # an empty tableau over the structurals, then the rows
+        self.nv = self.ncols = nv
+        self.m = 0
         self.T = []
         self.D = []
         self.basis = []
-        artificial = nv + m
-        for i, (den, terms, _) in enumerate(rows):
-            units = [(nv + i, self.slack_sign[i])]
-            if not fits[i]:
-                units.append((artificial, -1 if residuals[i] < 0 else 1))
-                artificial += 1
-            row, den = _start_row(ncols, den, terms, residuals[i], units)
-            self.T.append(row)
-            self.D.append(den)
-            self.basis.append(units[-1][0])
-        self.cost = None  # the cost of the reduced-cost row, set by run
-        self.d = None
+        self.slack_sign = []
+        self.d = None  # the reduced-cost row, built by run
         self.dden = 1
+        self._append(self._start_rows(rows, senses, residuals))
         # what resume needs.  moves logs each move of the last run as
         # (enter, direction, num, den, basic, row, pivot, nonzero):
         # num / den is the ratio-test winner with its basic column, or
         # basic -1 when no row blocks; a pivot has the winner's row and
         # the pivot row's denominator and nonzero entries after the
         # pivot, a bound flip row -1 and nonzero None
-        self.moves = None if n_art else []
+        self.moves = [] if self.ncols == nv + self.m else None
+
+    def _start_rows(self, rows, senses, residuals):
+        """Scaled rows with their residuals at the start point, as
+        (row, den, basic) triples over the current and the new columns.
+
+        Row t's slack is the t-th new column; a row whose slack does not
+        fit gets an artificial after the new slacks, basic in its place.
+        The basic column has coefficient +1.  Adds the new columns'
+        bounds and flags and the slack signs, not the rows.
+        """
+        first = self.ncols
+        fits = list(map(_fits, residuals, senses))
+        n_art = fits.count(False)
+        artificial = first + len(rows)
+        width = artificial + n_art
+        new = []
+        for t, (den, terms, _) in enumerate(rows):
+            basic, sign = first + t, -1 if senses[t] == ">=" else 1
+            self.slack_sign.append(sign)
+            self.up.append(0 if senses[t] == "=" else None)
+            row = [0] * (width + 1)
+            for j, w in terms:
+                row[j] = w
+            row[basic] = sign * den
+            if not fits[t]:
+                basic, sign = artificial, -1 if residuals[t] < 0 else 1
+                row[basic] = sign * den
+                artificial += 1
+            row[width] = residuals[t]
+            if sign < 0:
+                row = [-w for w in row]
+            new.append((*_reduced(row, den), basic))
+        self.lo.extend([0] * (width - first))
+        self.up.extend([None] * n_art)
+        self.at_upper.extend([False] * (width - first))
+        return new
+
+    def _append(self, new):
+        """Put start rows in: the new columns go into the rows, before
+        the value column, and into the reduced-cost row, then the rows
+        go below."""
+        ncols, width = self.ncols, len(self.lo)
+        for row in self.T:
+            row[ncols:ncols] = [0] * (width - ncols)
+        if self.d is not None:
+            self.d.extend([0] * (width - ncols))
+        for row, den, basic in new:
+            self.T.append(row)
+            self.D.append(den)
+            self.basis.append(basic)
+        self.m += len(new)
+        self.ncols = width
 
     def is_artificial(self, j):
         return j >= self.nv + self.m
@@ -388,27 +400,26 @@ class _Tableau:
         """Bland-rule simplex under the given column costs.
 
         Returns "optimal" or "unbounded"; the value column and at_upper
-        hold the point.  The reduced costs are rebuilt only when the
-        costs differ from those of the last run.  With a log, each move
-        is appended to moves.
+        hold the point.  The reduced costs are built from cost only when
+        there are none, on a new tableau or after phase 1; resume keeps
+        them, as new slacks cost nothing.  With a log, each move is
+        appended to moves.
         """
         T, D, basis = self.T, self.D, self.basis
         lo, up, at_upper = self.lo, self.up, self.at_upper
         moves = self.moves
-        if cost != self.cost:
-            self.cost = cost
-            self.d, self.dden = _integer_row(cost)
+        if self.d is None:
+            self.d, self.dden = scaled_point(cost)
             for i, k in enumerate(basis):
                 if self.d[k]:
                     self._price_out(k, D[i], _nonzero(T[i]))
-        in_basis = set(basis)
         for _ in range(_MAX_PIVOTS):
             d = self.d
             enter = -1
             direction = 0
             for j in range(self.ncols):
                 dj = d[j]
-                if not dj or j in in_basis:
+                if not dj:
                     continue
                 if lo[j] == up[j]:
                     continue  # fixed column can never move
@@ -441,44 +452,29 @@ class _Tableau:
             if moves is not None:
                 moves.append((enter, direction, num, den, leave, leave_row,
                                D[leave_row], nonzero))
-            in_basis.discard(leave)
-            in_basis.add(enter)
         raise AssertionError("pivot limit hit, Bland's rule should terminate")
 
-    def resume(self, model):
-        """Take the tableau on to the model's rows beyond its own.
+    def resume(self, rows):
+        """Take the tableau on to its model with rows appended.
 
-        model is the one the tableau was built from, with rows appended
-        since and nothing else changed.  The new rows enter at the point
-        of the logged run where a cold solve of the larger model would
-        first move differently, so that one more run makes exactly the
-        cold solve's moves.  Returns False, with the tableau unchanged,
-        when that cannot be done: the last run needed phase 1, so it
-        was not logged, or a new row would need an artificial at the
-        start point.
+        rows are the model rows, (coefficients, sense, rhs), beyond the
+        tableau's own.  They enter at the point of the logged run where
+        a cold solve of the larger model would first move differently,
+        so that one more run makes exactly the cold solve's moves.
+        Returns False, with the tableau unchanged, when that cannot be
+        done: the last run needed phase 1, so it was not logged, or a
+        new row would need an artificial at the start point.
         """
-        m, ncols = self.m, self.ncols
         if self.moves is None:
             return False
-        added = model.rows[m:]
-        rows = [_scaled_row(coefficients, rhs)
-                for coefficients, _, rhs in added]
-        residuals = _residuals(rows, self.start, self.L)
-        senses = [sense for _, sense, _ in added]
+        scaled = [_scaled_row(coefficients, rhs)
+                  for coefficients, _, rhs in rows]
+        senses = [sense for _, sense, _ in rows]
+        residuals = _residuals(scaled, self.start, self.L)
         if not all(map(_fits, residuals, senses)):
             return False
-        lo, up, T = self.lo, self.up, self.T
-        # the new rows at the start point, with their slacks basic in
-        # the columns after the old ones
-        signs = [-1 if sense == ">=" else 1 for sense in senses]
-        width = ncols + len(added)
-        new = []
-        for t, (den, terms, _) in enumerate(rows):
-            row, den = _start_row(width, den, terms, residuals[t],
-                                  [(ncols + t, signs[t])])
-            new.append((row, den, ncols + t))
-        lo.extend([0] * len(added))
-        up.extend([0 if sense == "=" else None for sense in senses])
+        new = self._start_rows(scaled, senses, residuals)
+        lo, up = self.lo, self.up
 
         # replay the log on the new rows up to the first move whose
         # ratio test a new row wins; the reduced costs stay the same
@@ -511,19 +507,7 @@ class _Tableau:
             else:
                 self._pivot(row, leave, direction < 0)
         del self.moves[p:]
-
-        for row in T:
-            row[ncols:ncols] = [0] * len(added)
-        self.d.extend([0] * len(added))
-        self.at_upper.extend([False] * len(added))
-        self.cost.extend([0] * len(added))
-        for row, den, basic in new:
-            T.append(row)
-            self.D.append(den)
-            self.basis.append(basic)
-        self.slack_sign.extend(signs)
-        self.m += len(added)
-        self.ncols = width
+        self._append(new)
         return True
 
     def drive_out_artificials(self):
@@ -534,17 +518,16 @@ class _Tableau:
             for j in range(self.nv + self.m):
                 if self.lo[j] == self.up[j]:
                     continue
-                if j not in self.basis and self.T[i][j] != 0:
+                if self.T[i][j] != 0:
                     target = j
                     break
             if target >= 0:
                 # degenerate swap: the artificial sits at zero, values keep
                 self._pivot(i, target, False)
-        # freeze every artificial at zero; phase 2 prices afresh, and
-        # run need not compare its costs with phase 1's
+        # freeze every artificial at zero; phase 2 prices afresh
         for j in range(self.nv + self.m, self.ncols):
             self.up[j] = 0
-        self.cost = None
+        self.d = None
 
     def artificials_at_zero(self):
         # basic values are within bounds, so no artificial is negative
@@ -671,8 +654,8 @@ def _solve(model, tab, scaled=None):
             status="unbounded", primal=None, objective=None, duals=None
         )
     primal = tuple(tab.primal(model))
-    c, cden = _integer_row(model.objective)
-    X, P = _integer_row(primal)
+    c, cden = scaled_point(model.objective)
+    X, P = scaled_point(primal)
     objective_value = Fraction(sum(map(mul, c, X)), cden * P)
     duals = tuple(tab.duals())
     _verify_optimal(model, primal, duals, objective_value, scaled)
@@ -727,5 +710,5 @@ def solve_lp(model, row_callback=None):
             solved.add_row(coefficients, sense, rhs)
             coefficients, sense, rhs = solved.rows[-1]
             model.rows.append((dict(coefficients), sense, rhs))
-        if not tab.resume(solved):
+        if not tab.resume(solved.rows[tab.m:]):
             tab = _Tableau(solved)

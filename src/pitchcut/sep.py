@@ -144,7 +144,6 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
     if mode == "fptas":
         eps = knapdp._coerce_eps(eps)
         eps_prime = eps / (2 + eps)
-    budget = knapdp.DEFAULT_BUDGET if budget is None else budget
     x = as_point(xbar, inst.n)
     a, X = scaled_point(x)
     r, q = inst.r, inst.q
@@ -273,7 +272,6 @@ def separate_fixed_support(inst, xbar, I, pitch_limit=None, budget=None):
         pitch_limit = int(pitch_limit)
         if pitch_limit < 1:
             raise ValueError("pitch_limit must be a positive integer")
-    cell_budget = knapdp.DEFAULT_BUDGET if budget is None else budget
 
     model = ratlp.LPModel()
     position = {}
@@ -295,7 +293,7 @@ def separate_fixed_support(inst, xbar, I, pitch_limit=None, budget=None):
     def rows(solution):
         alpha = solution.primal
         fresh = []
-        value, chosen = knapdp._exact_cover(sub_r, list(alpha), bq, cell_budget)
+        value, chosen = knapdp._exact_cover(sub_r, list(alpha), bq, budget)
         if value < 1:
             J = tuple(I[k] for k in chosen)
             generated.append(J)

@@ -8,6 +8,7 @@ import pytest
 
 from pitchcut import cutloop, gaplab, ratlp
 from pitchcut.cli import cli
+from pitchcut.core import VerificationError
 
 F = Fraction
 
@@ -213,6 +214,15 @@ def test_failed_exactness_checks_are_exit_5(worked_file, monkeypatch,
         patch.setattr(ratlp._Tableau, "duals", lambda self: [F(0)] * self.m)
         assert cli(["cutplane", worked_file]) == 5
     assert "LP certificate failed" in capsys.readouterr().err
+    with monkeypatch.context() as patch:
+        # a witness check of the gap-table experiments
+        def failing(inst):
+            raise VerificationError("the wild facet cut is not valid")
+
+        patch.setattr(gaplab, "_check_wild", failing)
+        assert cli(["gap-table", "--family", "pitch3-wild"]) == 5
+    captured = capsys.readouterr()
+    assert "facet cut" in captured.err and captured.out == ""
 
 
 def test_parse_errors_are_exit_2(tmp_path, capsys):

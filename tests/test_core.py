@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from pitchcut import core, gaplab, knapdp
+from pitchcut import core, gaplab, knapdp, ratlp, sep
 
 F = Fraction
 
@@ -76,6 +76,41 @@ def test_normalize_rejects_bad_data():
 def test_normalize_zero_profit_is_allowed():
     inst = core.normalize((F(1), F(1)), (F(0), F(1)), F(1))
     assert inst.profits == (F(0), F(1))
+
+
+def _lp_with_one_var():
+    model = ratlp.LPModel()
+    model.add_var(lb=0, ub=1, obj=1)
+    return model
+
+
+@pytest.mark.parametrize("call", [
+    lambda: knapdp.solve_fptas(worked_instance(), (F(1),) * 4, 0.1),
+    lambda: sep.separate_pitch12(worked_instance(), (F(1),) * 4, eps=0.1,
+                                 mode="fptas"),
+    lambda: knapdp.solve_Palpha(worked_instance(), (F(1),) * 4, 0.5),
+    lambda: gaplab.gen_lemma4(4, eps=0.125),
+    lambda: ratlp.LPModel().add_var(lb=0.5),
+    lambda: ratlp.LPModel().add_var(ub=0.5),
+    lambda: ratlp.LPModel().add_var(obj=0.5),
+    lambda: _lp_with_one_var().add_row({0: 0.5}, ">=", 1),
+    lambda: _lp_with_one_var().add_row({0: 1}, ">=", 0.5),
+    lambda: _lp_with_one_var().add_row({0.0: 1}, ">=", 1),
+], ids=["fptas-eps", "pitch12-eps", "Palpha-alpha", "lemma4-eps",
+        "lp-lower", "lp-upper", "lp-objective", "lp-coefficient",
+        "lp-rhs", "lp-column"])
+def test_floats_are_refused_at_the_boundary(call):
+    with pytest.raises(TypeError, match="float"):
+        call()
+
+
+def test_lp_variables_need_a_finite_lower_bound():
+    with pytest.raises(ValueError, match="needs a finite lower bound"):
+        ratlp.LPModel().add_var(lb=None)
+    model = _lp_with_one_var()
+    model.lower[0] = None
+    with pytest.raises(ValueError, match="needs a finite lower bound"):
+        ratlp.solve_lp(model)
 
 
 def test_normalize_infeasible_total():

@@ -10,7 +10,7 @@ import pytest
 
 import oracles
 import pitchcut
-from pitchcut import core, cutloop, gaplab, ratlp
+from pitchcut import core, cutloop, gaplab, ratlp, sep
 
 F = Fraction
 
@@ -105,6 +105,23 @@ def test_cut_pool_check_rejects_invalid_cuts():
         pool.add(bogus)
     assert pool.add(core.make_inequality({0: F(1), 1: F(1), 2: F(1)},
                                          F(2), "user"))
+
+
+def test_loop_rejects_a_cut_that_is_already_a_row(monkeypatch):
+    # a separator that returns its first hit again on every round
+    separate_kc = sep.separate_kc
+    hits = []
+
+    def stuck(inst, xbar, mode):
+        if not hits:
+            hits.append(separate_kc(inst, xbar, mode=mode))
+        return hits[0]
+
+    monkeypatch.setattr(sep, "separate_kc", stuck)
+    config = cutloop.LoopConfig(families=frozenset({"kc"}))
+    with pytest.raises(core.VerificationError, match="already a row"):
+        cutloop.run(worked_instance(), config)
+    assert hits[0] is not None
 
 
 def test_loop_config_validation():

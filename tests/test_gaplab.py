@@ -100,7 +100,7 @@ def test_lemma4_point():
     gaplab._check_lemma4_point(inst, 4)
 
 
-def test_witness_checks_raise_rather_than_assert():
+def test_witness_checks_raise_rather_than_assert(monkeypatch):
     # all profit on one item at x = 1/3: the lemma-4 point misses the row
     skewed = core.normalize((F(1),) * 6, (F(0),) * 5 + (F(1),), F(1))
     with pytest.raises(core.VerificationError, match="knapsack row"):
@@ -115,6 +115,12 @@ def test_witness_checks_raise_rather_than_assert():
     halves = core.normalize((F(1),) * 7, (F(1, 2),) * 7, F(1))
     with pytest.raises(core.VerificationError):
         gaplab._check_wild(halves)
+    # the facet with its right-hand side one too high cuts off an
+    # integer point, while the pitch-3 cut still passes
+    weights, rhs = gaplab.WILD_CG_FACET
+    monkeypatch.setattr(gaplab, "WILD_CG_FACET", (weights, rhs + 1))
+    with pytest.raises(core.VerificationError, match="facet cut"):
+        gaplab._check_wild(gaplab.gen_pitch3_wild().normalize())
 
 
 def test_gen_ola_structure():
@@ -174,6 +180,15 @@ def test_experiment_error_rows_capture_the_exception():
     assert row.reason == "error:ValueError"
     assert row.int_opt is None and row.gap is None
     assert row.gap_decimal == ""
+
+
+def test_experiment_lets_a_failed_exactness_check_through(monkeypatch):
+    def failing(inst):
+        raise core.VerificationError("the wild facet cut is not valid")
+
+    monkeypatch.setattr(gaplab, "_check_wild", failing)
+    with pytest.raises(core.VerificationError, match="facet cut"):
+        gaplab.experiment_gap_table("pitch3-wild", [])
 
 
 def test_experiment_lemma4_small_table():

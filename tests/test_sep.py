@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from pitchcut import core, gaplab, knapdp, sep
+from pitchcut import core, gaplab, knapdp, ratlp, sep
 
 F = Fraction
 
@@ -285,6 +285,38 @@ def test_fixed_support_validations():
     with pytest.raises(ValueError):
         sep.separate_fixed_support(inst, (F(0),) * 4, (0, 1, 3),
                                    pitch_limit=0)
+
+
+def test_pitch12_rejects_a_level_solution_with_no_positive_beta(
+        monkeypatch):
+    # the empty set leaves beta(I) = 1 - p(all) <= 0
+    monkeypatch.setattr(knapdp, "_level_cover", lambda *args: (0, ()))
+    with pytest.raises(core.VerificationError, match="not positive"):
+        sep.separate_pitch12(worked_instance(), (F(1),) * 4)
+
+
+def test_pitch12_rejects_level_solutions_that_cut_nothing(monkeypatch):
+    # every item at value 0: the all-ones point satisfies every cut
+    monkeypatch.setattr(knapdp, "_level_cover",
+                        lambda inst, *args: (0, tuple(range(inst.n))))
+    with pytest.raises(core.VerificationError,
+                       match="level-alpha solution of value < 2"):
+        sep.separate_pitch12(worked_instance(), (F(1),) * 4)
+    # unit profits leave the level grid empty, so only the pitch-1
+    # level runs
+    units = core.normalize((F(1),) * 3, (F(1),) * 3, F(1))
+    with pytest.raises(core.VerificationError,
+                       match="no violated pitch-1 cut"):
+        sep.separate_pitch12(units, (F(1),) * 3)
+
+
+def test_fixed_support_rejects_a_non_optimal_lp(monkeypatch):
+    infeasible = ratlp.LPSolution("infeasible", None, None, None)
+    monkeypatch.setattr(ratlp, "solve_lp",
+                        lambda model, callback=None: infeasible)
+    with pytest.raises(core.VerificationError, match="ended infeasible"):
+        sep.separate_fixed_support(worked_instance(), (F(0),) * 4,
+                                   (0, 1, 2, 3))
 
 
 def test_enumerate_pitch1_pins():
