@@ -1,4 +1,5 @@
-"""Compare the compiled DP kernels against the pure-Python fallback.
+"""Compare the compiled DP kernels against the pure-Python fallback,
+and the compiled level sweeps against their per-level calls.
 
 Run as a script: python benchmarks/bench_kernels.py [--repeat N].
 Times min_cover_solve, max_profit_solve and kc_best_subset on a sweep
@@ -8,6 +9,15 @@ getrusage ru_minflt delta over the repeats): a call whose table is too
 big for the allocator to reuse maps and zero-fills fresh pages every
 time, and then its time is mostly those faults.  Both backends must
 agree on every answer; the benchmark aborts if they disagree.
+
+A second table, in milliseconds, times min_cover_levels and
+fptas_levels on pitch-2 level grids (the grid {r_i + 1 <= q} plus level
+1, as sep.separate_pitch12 solves it) against one call per level:
+compiled min_cover_solve on each level's doubled objective, and the
+Python FPTAS guess loop of _kernels_py driving the compiled
+max_profit_solve.  Its cells are the DP cells computed per call (for
+the FPTAS, summed over the guesses; both paths run the same guesses).
+Sweep and per-level answers must agree.
 """
 
 from __future__ import annotations
@@ -80,6 +90,90 @@ def _row(name, n, args, compiled, repeat):
     return line
 
 
+def _level_case(rng, n, rmax):
+    """r ascending with some zero profits, a point a with some zeros,
+    base = sum(r) - q and the level grid plus level 1."""
+    r = sorted(rng.choice((0, rng.randint(1, rmax), rng.randint(1, rmax)))
+               for _ in range(n))
+    a = [rng.choice((0, rng.randint(1, 50))) for _ in range(n)]
+    q = max(1, sum(r) // 3)
+    nums = sorted({ri + 1 for ri in r if ri + 1 <= q}) + [1]
+    return r, a, sum(r) - q, nums
+
+
+def _min_cover_per_level(compiled, r, a, base, nums):
+    return [compiled.min_cover_solve(r, _kernels_py._level_objective(
+        r, a, num), base + num) for num in nums]
+
+
+def _cover_cells(r, base, nums):
+    """(per-level cells, sweep cells) of the exact level DPs."""
+    n = len(r)
+    live = [(sum(1 for ri in r if ri < num), base + num) for num in nums
+            if base + num > 0]
+    if not live:
+        return 0, 0
+    per_level = sum((n + 1) * (need + 1) for _, need in live)
+    kmin = min(k for k, _ in live)
+    top = max(need for _, need in live)
+    return per_level, ((n + 1 - kmin) * (top + 1)
+                       + sum(k * (need + 1) for k, need in live))
+
+
+class _CountedProfit:
+    """The compiled max_profit_solve, counting its DP cells."""
+
+    def __init__(self, compiled):
+        self.compiled = compiled
+        self.cells = 0
+
+    def __call__(self, cost, r, budget, target):
+        self.cells += (len(cost) + 1) * (budget + 1)
+        return self.compiled.max_profit_solve(cost, r, budget, target)
+
+
+def _sweep_row(name, n, per_level, sweep, args, cells, repeat):
+    """One row of the sweep table: per-level calls against one sweep.
+
+    Raises when their answers differ.
+    """
+    pl_res, pl_t, pl_f = _timed(per_level, *args, repeat=repeat)
+    sw_res, sw_t, sw_f = _timed(sweep, *args, repeat=repeat)
+    if pl_res != sw_res:
+        raise RuntimeError("sweep and per-level answers differ on %s at "
+                           "n=%d" % (name, n))
+    return "%-18s %5d %6d %10.3f %8.0f %11d %10.3f %8.0f %11d %7.1fx" % (
+        name, n, len(args[3]), 1000 * pl_t, pl_f, cells[0], 1000 * sw_t,
+        sw_f, cells[1], pl_t / sw_t if sw_t else 0.0)
+
+
+def _sweeps(compiled, rng, repeat):
+    print()
+    print("%-18s %5s %6s %10s %8s %11s %10s %8s %11s %8s" % (
+        "sweep", "n", "levels", "per-lvl ms", "faults", "cells",
+        "sweep ms", "faults", "cells", "speedup"))
+    for n, rmax in ((10, 300), (30, 300), (60, 300)):
+        r, a, base, nums = _level_case(rng, n, rmax)
+        print(_sweep_row(
+            "min_cover_levels", n,
+            lambda *args: _min_cover_per_level(compiled, *args),
+            compiled.min_cover_levels, (r, a, base, nums),
+            _cover_cells(r, base, nums), repeat))
+    # eps' = eps/(2 + eps) of separate_pitch12 at eps = 1/10
+    en, ed = 1, 21
+    for n in (10, 30, 60):
+        r, a, base, nums = _level_case(rng, n, 300)
+        args = (r, a, base, nums, en, ed)
+        counted = _CountedProfit(compiled)
+        _kernels_py.fptas_levels(*args, counted)
+        print(_sweep_row(
+            "fptas_levels", n,
+            lambda *args: _kernels_py.fptas_levels(
+                *args, compiled.max_profit_solve),
+            compiled.fptas_levels, args, (counted.cells, counted.cells),
+            repeat))
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
@@ -101,6 +195,8 @@ def main():
     for n in (12, 16, 20):
         print(_row("kc_best_subset", n, _kc_case(rng, n), compiled,
                    args.repeat))
+    if compiled is not None:
+        _sweeps(compiled, rng, args.repeat)
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Build script.
 
 The package is pure Python plus one optional C extension,
-pitchcut._speedups, with the three dynamic-programming kernels.  It is
+pitchcut._speedups, with the dynamic-programming kernels.  It is
 built from the hand-written src/pitchcut/_speedups.c and needs only a C
 compiler.  If compilation fails the install proceeds without the
 extension; pitchcut.kernels then falls back to the bignum Python

@@ -1,14 +1,19 @@
-"""Pure Python fallbacks for the three DP kernels.
+"""Pure Python fallbacks for the DP kernels.
 
-These run on arbitrary-precision integers, so they never overflow; the
-compiled versions in _speedups (hand-written C, _speedups.c) are
-drop-in replacements restricted to signed 64-bit ranges, and the tests
-compare them against these.  Tie-breaking must stay identical between
+min_cover_solve, max_profit_solve and kc_best_subset are single DPs;
+min_cover_levels and fptas_levels solve the pitch-2 level-alpha
+subproblems for a whole grid of levels in one call.  These run on
+arbitrary-precision integers, so they never overflow; the compiled
+versions in _speedups (hand-written C, _speedups.c) are drop-in
+replacements restricted to signed 64-bit ranges, and the tests compare
+them against these.  Tie-breaking must stay identical between
 the two implementations: callers rely on the reconstructed index sets
 being bit-for-bit reproducible.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 
 def min_cover_solve(r, obj, need):
@@ -127,3 +132,108 @@ def kc_best_subset(r, a, X, q):
             best = acc
             best_mask = m
     return best, best_mask
+
+
+def _level_objective(r, a, num):
+    """a_i, doubled on the items with r_i >= num."""
+    return [ai if ri < num else 2 * ai for ri, ai in zip(r, a)]
+
+
+def min_cover_levels(r, a, base, nums):
+    """min_cover_solve at every level num in nums.
+
+    Level num minimises the objective a_i, doubled where r_i >= num,
+    under the need base + num.  Returns one (value, chosen) per num, as
+    min_cover_solve does.  The compiled version shares one table of the
+    doubled objective across the levels and needs r ascending.
+    """
+    return [min_cover_solve(r, _level_objective(r, a, num), base + num)
+            for num in nums]
+
+
+def fptas_bound(m, en, ed):
+    """B = ceil(2m/eps) + m, the largest rounded-cost state of the FPTAS
+    over m paying items at eps = en/ed."""
+    return -(-2 * m * ed // en) + m
+
+
+def fptas_levels(r, a, base, nums, en, ed, profit_dp=max_profit_solve):
+    """The FPTAS cover (_fptas_cover) at eps = en/ed at every level num
+    in nums, with the level objective and need of min_cover_levels.
+    Returns one (value, chosen) per num.  profit_dp runs the max-profit
+    DPs; kernels passes its dispatching max_profit_solve, so inputs too
+    large for the compiled sweep still get compiled DPs."""
+    return [_fptas_cover(r, _level_objective(r, a, num), base + num, en, ed,
+                         profit_dp)
+            for num in nums]
+
+
+def _fptas_cover(r, costs, need, en, ed, profit_dp):
+    """(1+eps)-approximate minimum of integer costs under sum r_i z_i >= need.
+
+    Zero-cost items are taken up front (they can only help coverage).
+    The rest runs a guess loop on the optimal value v: costs are rounded
+    up to multiples of delta = eps*v/(2m), a max-profit DP over rounded
+    cost states 0..B with B = fptas_bound(m, en, ed) looks for the
+    cheapest state covering the residual need, and the guess doubles
+    until one is found.  The first hit costs at most (1+eps) times the
+    optimum.  Returns (value, chosen), or (None, ()) when even every item
+    falls short of need.
+
+    Rounding is invariant under scaling the costs, so rational costs run
+    here as integers over a common denominator and the returned value is
+    an integer over that same denominator.  The guess v = gn/gd is kept
+    as an integer pair, so each rounded cost ceil(c_i/delta) is one
+    integer floor division.
+    """
+    if need <= 0:
+        return 0, ()
+    n = len(r)
+    taken = []
+    cover = 0
+    for i in range(n):
+        if costs[i] == 0 and cover < need:
+            taken.append(i)
+            cover += r[i]
+    if cover >= need:
+        return 0, tuple(taken)
+    residual = need - cover
+    # paying items with zero profit never help
+    paying = [i for i in range(n) if costs[i] > 0 and r[i] > 0]
+    if sum(r[i] for i in paying) < residual:
+        return None, ()
+    # fractional greedy by density c_i/r_i is the LP bound, hence <= OPT;
+    # R/r_i is an integer, so c_i*(R/r_i) keys the exact density order
+    R = lcm(*(r[i] for i in paying))
+    acc = 0
+    spent = 0
+    for i in sorted(paying, key=lambda i: (costs[i] * (R // r[i]), i)):
+        if acc + r[i] >= residual:
+            gn = spent * r[i] + costs[i] * (residual - acc)
+            gd = r[i]
+            break
+        acc += r[i]
+        spent += costs[i]
+    total = sum(costs[i] for i in paying)
+    m = len(paying)
+    B = fptas_bound(m, en, ed)
+    sub_r = [r[i] for i in paying]
+    sub_c = [costs[i] for i in paying]
+    while True:
+        # ceil(c / delta) with delta = eps*gn / (2m*gd); a cost above B
+        # is never taken, so it is clipped to B + 1
+        num = 2 * m * ed * gd
+        den = en * gn
+        rounded = [min(-(-c * num // den), B + 1) for c in sub_c]
+        reach, chosen_sub = profit_dp(rounded, sub_r, B, residual)
+        if reach is not None:
+            picked = [paying[k] for k in chosen_sub]
+            value = sum(costs[i] for i in picked)
+            return value, tuple(sorted(taken + picked))
+        if gn >= total * gd:
+            # at guess = total every rounded cost fits inside B
+            raise AssertionError("guess loop exhausted without a cover")
+        if 2 * gn >= total * gd:
+            gn, gd = total, 1
+        else:
+            gn *= 2

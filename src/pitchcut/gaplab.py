@@ -349,7 +349,8 @@ def experiment_gap_table(family, ns, eps=Fraction(1, 8), k=2, seed=1,
         raise ValueError("unknown experiment family %r" % family)
     specs = []
     if family == "lemma4":
-        params = "eps=%s" % Fraction(eps)
+        eps = _frac(eps)
+        params = "eps=%s" % eps
         for n in ns:
             specs.append((n + 2, params,
                           lambda n=n: _run_lemma4(n, eps,

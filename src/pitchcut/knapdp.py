@@ -6,20 +6,24 @@ solver runs the pseudo-polynomial DP over profit states and refuses to
 build tables beyond the cell budget; the FPTAS rounds costs and runs a
 DP over cost states, so its table size depends on n and 1/eps only.
 
-Each DP has one integer core, _min_cover and _fptas_cover, over
-integer objectives; their answers are integers over the caller's
-denominator.  _exact_cover, solve_exact, solve_fptas and solve_Palpha
-are Fraction edges: they scale the objective or the point once
-(core.scaled_point) and divide the answer back.  _level_cover builds
-the level-alpha objective for both solve_Palpha and
-sep.separate_pitch12.
+The DPs run in the kernel layer (kernels) over integer objectives, and
+their answers are integers over the caller's denominator; this module
+checks the cell budget and coverability before each kernel call.
+_min_cover is the exact single DP.  _level_cover solves the level-alpha
+subproblems of a whole level grid in one kernel call, for both
+solve_Palpha (one level) and sep.separate_pitch12: exact mode shares
+one table of the doubled objective across the levels, and fptas mode
+runs the FPTAS guess loop per level with the per-call set-up done once.
+_fptas_cover is that FPTAS at one level that doubles nothing.
+_exact_cover, solve_exact, solve_fptas and solve_Palpha are Fraction
+edges: they scale the objective or the point once (core.scaled_point)
+and divide the answer back.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from . import kernels
 from .core import (
@@ -68,17 +72,20 @@ def _check_budget(cells, budget):
         )
 
 
+def _check_coverable(r, need):
+    if need > sum(r):
+        raise InfeasibleInstanceError(
+            "total profit %d cannot reach %d" % (sum(r), need)
+        )
+
+
 def _min_cover(r, obj, need, budget):
     """Exact minimum of an integer objective under sum r_i z_i >= need."""
     if need <= 0:
         return 0, ()
     _check_budget((len(r) + 1) * (need + 1), budget)
-    value, chosen = kernels.min_cover_solve(r, obj, need)
-    if value is None:
-        raise InfeasibleInstanceError(
-            "total profit %d cannot reach %d" % (sum(r), need)
-        )
-    return value, chosen
+    _check_coverable(r, need)
+    return kernels.min_cover_solve(r, obj, need)
 
 
 def _exact_cover(r, objective, need, budget):
@@ -91,86 +98,40 @@ def _exact_cover(r, objective, need, budget):
 def _fptas_cover(r, costs, need, eps, budget):
     """(1+eps)-approximate minimum of integer costs under sum r_i z_i >= need.
 
-    Zero-cost items are taken up front (they can only help coverage).
-    The rest runs a guess loop on the optimal value v: costs are rounded
-    up to multiples of delta = eps*v/(2m), a max-profit DP over rounded
-    cost states 0..B with B = ceil(2m/eps) + m looks for the cheapest
-    state covering the residual need, and the guess doubles until one is
-    found.  The first hit costs at most (1+eps) times the optimum.
-
-    Rounding is invariant under scaling the costs, so rational costs run
-    here as integers over a common denominator and the returned value is
-    an integer over that same denominator.  The guess v = gn/gd is kept
-    as an integer pair, so each rounded cost ceil(c_i/delta) is one
-    integer floor division.
+    The FPTAS of kernels.fptas_levels at one level above every r_i, where
+    no cost is doubled.
     """
-    if need <= 0:
-        return 0, ()
-    n = len(r)
-    taken = []
-    cover = 0
-    for i in range(n):
-        if costs[i] == 0 and cover < need:
-            taken.append(i)
-            cover += r[i]
-    if cover >= need:
-        return 0, tuple(taken)
-    residual = need - cover
-    # paying items with zero profit never help
-    paying = [i for i in range(n) if costs[i] > 0 and r[i] > 0]
-    if sum(r[i] for i in paying) < residual:
-        raise InfeasibleInstanceError(
-            "total profit cannot reach the cover target"
-        )
-    # fractional greedy by density c_i/r_i is the LP bound, hence <= OPT;
-    # R/r_i is an integer, so c_i*(R/r_i) keys the exact density order
-    R = lcm(*(r[i] for i in paying))
-    acc = 0
-    spent = 0
-    for i in sorted(paying, key=lambda i: (costs[i] * (R // r[i]), i)):
-        if acc + r[i] >= residual:
-            gn = spent * r[i] + costs[i] * (residual - acc)
-            gd = r[i]
-            break
-        acc += r[i]
-        spent += costs[i]
-    total = sum(costs[i] for i in paying)
-    m = len(paying)
-    en, ed = eps.numerator, eps.denominator
-    B = -(-2 * m * ed // en) + m
-    _check_budget((m + 1) * (B + 1), budget)
-    sub_r = [r[i] for i in paying]
-    sub_c = [costs[i] for i in paying]
-    while True:
-        # ceil(c / delta) with delta = eps*gn / (2m*gd)
-        num = 2 * m * ed * gd
-        den = en * gn
-        rounded = [-(-c * num // den) for c in sub_c]
-        reach, chosen_sub = kernels.max_profit_solve(rounded, sub_r, B, residual)
-        if reach is not None:
-            picked = [paying[k] for k in chosen_sub]
-            value = sum(costs[i] for i in picked)
-            return value, tuple(sorted(taken + picked))
-        if gn >= total * gd:
-            # at guess = total every rounded cost fits inside B
-            raise AssertionError("guess loop exhausted without a cover")
-        if 2 * gn >= total * gd:
-            gn, gd = total, 1
-        else:
-            gn *= 2
+    num = max(r, default=0) + 1
+    return _level_cover(r, costs, need - num, [num], "fptas", eps,
+                        budget)[0]
 
 
-def _level_cover(inst, a, num, base, mode, eps, budget):
-    """The level-alpha subproblem, alpha = num/q, at the point a/X.
+def _level_cover(r, a, base, nums, mode, eps, budget):
+    """The level-alpha subproblems, alpha = num/q for num in nums, at
+    the point a/X.
 
-    The objective is a_i, doubled on items with p_i >= alpha (r_i >=
-    num), and the cover need is base + num with base = sum(r) - q.
-    Returns (value, chosen) with value an integer over X.
+    Level num minimises a_i, doubled on items with p_i >= alpha (r_i >=
+    num), under the cover need base + num with base = sum(r) - q; r must
+    be ascending.  Returns one (value, chosen) per num, value an integer
+    over X.  The budget is checked once, against the largest level: in
+    exact mode its (n+1)*(need+1) profit table, the one table the sweep
+    holds (kernels.min_cover_levels); in fptas mode the (m+1)*(B+1)
+    cost table over the m paying items, the same at every level, which
+    a level needs unless its zero-cost items cover it.
     """
-    obj = [ai if ri < num else 2 * ai for ri, ai in zip(inst.r, a)]
+    top = base + max(nums, default=0)
     if mode == "exact":
-        return _min_cover(inst.r, obj, base + num, budget)
-    return _fptas_cover(inst.r, obj, base + num, eps, budget)
+        if top > 0:
+            _check_budget((len(r) + 1) * (top + 1), budget)
+        _check_coverable(r, top)
+        return kernels.min_cover_levels(r, a, base, nums)
+    if top > sum(ri for ri, ai in zip(r, a) if ai == 0):
+        _check_coverable(r, top)
+        m = sum(1 for ri, ai in zip(r, a) if ai > 0 and ri > 0)
+        B = kernels.fptas_bound(m, eps.numerator, eps.denominator)
+        _check_budget((m + 1) * (B + 1), budget)
+    return kernels.fptas_levels(r, a, base, nums, eps.numerator,
+                                eps.denominator)
 
 
 def solve_exact(inst, objective, budget=None):
@@ -222,7 +183,7 @@ def solve_Palpha(inst, xbar, alpha, mode="exact", eps=None, budget=None):
     if mode == "fptas":
         eps = _coerce_eps(eps)
     a, X = scaled_point(as_point(xbar, inst.n))
-    value, chosen = _level_cover(inst, a, int(r_alpha),
-                                 sum(inst.r) - inst.q, mode, eps, budget)
+    value, chosen = _level_cover(inst.r, a, sum(inst.r) - inst.q,
+                                 [int(r_alpha)], mode, eps, budget)[0]
     return KnapSolution(value=Fraction(value, X), chosen=chosen, mode=mode,
                         eps=eps if mode == "fptas" else None)

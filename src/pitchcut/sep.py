@@ -3,7 +3,8 @@
 The heart is separate_pitch12, the (1+eps)-oracle over pitch-1 cuts and
 the canonical pitch-2 family: a precheck on the knapsack row, then one
 covering subproblem per candidate level alpha on the grid {(r_i+1)/q},
-then the pitch-1 test at alpha = 1/q, then certification.  The rest of
+all solved in one kernel call, then the pitch-1 test at alpha = 1/q,
+then certification.  The rest of
 the module provides knapsack-cover separation, the fixed-support LP
 with massive-set row generation, brute-force enumerators for small n,
 and the conic dominance test used to reproduce implication arguments.
@@ -137,6 +138,12 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
     and the comparison between candidates run in integers.  Only the
     winning cut is built as an Inequality, and its Fraction violation
     must equal its integer score (VerificationError otherwise).
+
+    The levels are solved by one knapdp._level_cover call per mode.  In
+    exact mode that call covers the grid and alpha = 1/q and holds one
+    DP table of the largest level's size (the size the budget is checked
+    against); in fptas mode alpha = 1/q is a second call, made only
+    when no grid level yields a cut.
     """
     if mode not in ("exact", "fptas"):
         raise ValueError("mode must be 'exact' or 'fptas'")
@@ -155,18 +162,18 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
 
     base = sum(r) - q
 
-    def subproblem(num):
-        value, chosen = knapdp._level_cover(
-            inst, a, num, base, mode, eps_prime, budget)
-        # a solution of value < 2 gives a cut; value is over X
-        return chosen if value < 2 * X else None
+    def solve(nums):
+        return knapdp._level_cover(r, a, base, nums, mode, eps_prime, budget)
 
+    grid = sorted({ri + 1 for ri in r if ri + 1 <= q})
+    # the exact sweep solves level 1 for little more than its zero-profit
+    # items, so it always comes along; fptas solves it only when needed
+    answers = solve(grid + [1] if mode == "exact" else grid)
     best = None
     best_gap = 0
-    grid = sorted({ri + 1 for ri in r if ri + 1 <= q})
-    for num in grid:
-        chosen = subproblem(num)
-        if chosen is None:
+    for value, chosen in answers[:len(grid)]:
+        # a solution of value < 2 gives a cut; value is over X
+        if value >= 2 * X:
             continue
         coefficients, rhs, _ = _line2_split(inst, chosen, base)
         gap = rhs * X - sum(w * a[i] for i, w in coefficients.items())
@@ -179,8 +186,8 @@ def separate_pitch12(inst, xbar, eps=None, mode="exact", budget=None):
     if best is not None:
         return _violated(_line2_cut(inst, best), x, best_gap, X)
 
-    chosen = subproblem(1)
-    if chosen is not None:
+    value, chosen = answers[-1] if mode == "exact" else solve([1])[0]
+    if value < 2 * X:
         gap = X - sum(a[i] for i in chosen if r[i] > 0)
         if gap <= 0:
             raise VerificationError(

@@ -182,6 +182,11 @@ def test_experiment_error_rows_capture_the_exception():
     assert row.gap_decimal == ""
 
 
+def test_experiment_refuses_a_float_eps_at_the_call():
+    with pytest.raises(TypeError):
+        gaplab.experiment_gap_table("lemma4", [4], eps=0.125)
+
+
 def test_experiment_lets_a_failed_exactness_check_through(monkeypatch):
     def failing(inst):
         raise core.VerificationError("the wild facet cut is not valid")

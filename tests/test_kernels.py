@@ -1,4 +1,5 @@
-"""The three DP kernels: dispatch, both backends, brute-force parity."""
+"""The DP kernels: dispatch, both backends, brute-force and per-level
+parity."""
 
 import os
 import random
@@ -130,23 +131,86 @@ def test_kc_best_subset_backends_agree():
             == _kernels_py.kc_best_subset(list(inst.r), a, X, inst.q)
 
 
+def _backend(name):
+    if name == "python":
+        return _kernels_py
+    if not kernels.HAVE_SPEEDUPS:
+        pytest.skip("extension not built")
+    return kernels._speedups
+
+
+def doubled(r, a, num):
+    return [ai if ri < num else 2 * ai for ri, ai in zip(r, a)]
+
+
+def random_level_case(rng):
+    """Ascending r with zero and tied profits, a with zero costs, and a
+    level grid plus level 1 and a few levels whose need is <= 0."""
+    n = rng.randint(0, 9)
+    r = sorted(rng.choice((0, 0, 3, rng.randint(1, 12))) for _ in range(n))
+    a = [rng.choice((0, 0, 5, rng.randint(1, 15))) for _ in range(n)]
+    q = rng.randint(1, max(1, sum(r)))
+    base = sum(r) - q
+    nums = sorted({ri + 1 for ri in r if ri + 1 <= q}) + [1]
+    nums += [rng.randint(-base - 3, -base) for _ in range(2)]
+    return r, a, base, nums
+
+
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_min_cover_levels_match_min_cover_solve_per_level(backend):
+    module = _backend(backend)
+    rng = random.Random(7)
+    for _ in range(300):
+        r, a, base, nums = random_level_case(rng)
+        expected = [oracles.brute_cover(r, doubled(r, a, num), base + num)
+                    for num in nums]
+        assert expected == [
+            _kernels_py.min_cover_solve(r, doubled(r, a, num), base + num)
+            for num in nums]
+        assert module.min_cover_levels(r, a, base, nums) == expected
+    # a need above sum(r) has no cover
+    assert module.min_cover_levels([1, 2], [1, 1], 2, [1, 2]) == \
+        [(4, (0, 1)), (None, ())]
+
+
+@pytest.mark.parametrize("eps", [F(1, 21), F(1, 3), F(3)],
+                         ids=["1/21", "1/3", "3"])
+@pytest.mark.parametrize("backend", ["python", "compiled"])
+def test_fptas_levels_match_reference_fptas_per_level(backend, eps):
+    module = _backend(backend)
+    rng = random.Random(8)
+    for _ in range(120):
+        r, a, base, nums = random_level_case(rng)
+        got = module.fptas_levels(r, a, base, nums, eps.numerator,
+                                  eps.denominator)
+        expected = [oracles.reference_fptas(r, doubled(r, a, num),
+                                            base + num, eps)
+                    for num in nums]
+        assert got == expected
+    # every paying item together falls short of the residual need
+    assert module.fptas_levels([1, 2], [0, 1], 1, [2, 3], 1, 3) == \
+        [(2, (0, 1)), (None, ())]
+
+
 class _Spy:
-    """Stands in for the compiled module and counts the kernels fetched."""
+    """Stands in for the compiled module and records the kernels fetched."""
 
     def __init__(self, module):
         self.module = module
-        self.calls = 0
+        self.fetched = []
 
     def __getattr__(self, name):
-        self.calls += 1
+        self.fetched.append(name)
         return getattr(self.module, name)
 
 
 L = kernels._LIMIT
 
 # each guard of the dispatch on the value side, at _LIMIT - 1 (compiled)
-# and at _LIMIT (fallback); need and budget size the tables, so their
-# guards are checked in a subprocess below
+# and at _LIMIT (fallback), or at the last compiled value and the first
+# refused one where the guarded sum is odd or the bound is _LIMIT128;
+# need and budget size the tables, so their guards are checked in a
+# subprocess below
 _GUARDS = [
     ("sum(obj)+1", "min_cover_solve",
      ([1, 1], [L - 3, 1], 2), ([1, 1], [L - 2, 1], 2)),
@@ -160,6 +224,29 @@ _GUARDS = [
      ([L - 1, 1], [5, 2], 3, 2), ([L, 1], [5, 2], 3, 2)),
     ("(q+sum r)*X", "kc_best_subset",
      ([1, 2], [1, 0], 1, L - 4), ([1, 2], [1, 0], 1, L - 3)),
+    ("levels-min(base,nums)", "min_cover_levels",
+     ([1, 2], [1, 1], -L + 1, [1, 3]), ([1, 2], [1, 1], -L, [1, 3])),
+    ("levels-2sum(a)+1", "min_cover_levels",
+     ([1, 2], [2**61 - 2, 1], 1, [2, 3]), ([1, 2], [2**61 - 1, 1], 1, [2, 3])),
+    ("levels-max(r)", "min_cover_levels",
+     ([1, L - 1], [1, 2], 1, [2]), ([1, L], [1, 2], 1, [2])),
+    ("fptas-min(base,nums)", "fptas_levels",
+     ([1, 2], [1, 1], 1, [-L + 1, 2], 1, 2),
+     ([1, 2], [1, 1], 1, [-L, 2], 1, 2)),
+    ("fptas-base+max(nums)", "fptas_levels",
+     ([1, 2], [1, 1], 0, [L - 1], 1, 2), ([1, 2], [1, 1], 0, [L], 1, 2)),
+    ("fptas-sum(r)+1", "fptas_levels",
+     ([2, L - 4], [1, 1], 0, [3], 1, 2), ([2, L - 3], [1, 1], 0, [3], 1, 2)),
+    ("fptas-2sum(a)+1", "fptas_levels",
+     ([1, 2], [2**61 - 1, 0], 0, [3], 1, 2),
+     ([1, 2], [2**61, 0], 0, [3], 1, 2)),
+    ("fptas-max(en,ed)", "fptas_levels",
+     ([1, 2], [1, 1], 0, [3], L - 1, 1), ([1, 2], [1, 1], 0, [3], L, 1)),
+    ("fptas-(2ed+1)n+1", "fptas_levels",
+     ([1, 2], [1, 1], 0, [3], 2**60 - 1, 2**60 - 1),
+     ([1, 2], [1, 1], 0, [3], 2**60, 2**60)),
+    ("fptas-2A*max(r)*(n*ed+en)", "fptas_levels",
+     ([2**61], [2**60], 0, [5], 1, 6), ([2**61], [2**60], 0, [5], 1, 7)),
 ]
 _EDGE_CASES = [
     (name, args, compiled)
@@ -182,7 +269,9 @@ def test_dispatch_at_the_int64_guards(monkeypatch, name, args, compiled):
     spy = _Spy(kernels._speedups)
     monkeypatch.setattr(kernels, "_speedups", spy)
     got = getattr(kernels, name)(*args)
-    assert spy.calls == (1 if compiled else 0)
+    # the Python FPTAS sweep runs its DPs through the dispatch, so only
+    # fetches of the kernel under test count
+    assert spy.fetched.count(name) == (1 if compiled else 0)
     expected = getattr(_kernels_py, name)(*args)
     assert got == expected
     if compiled:
@@ -194,9 +283,28 @@ def test_dispatch_at_the_int64_guards(monkeypatch, name, args, compiled):
     (lambda m: m.max_profit_solve([-1], [1], 3, 1), ValueError),
     (lambda m: m.min_cover_solve([1, 2], [1], 3), IndexError),
     (lambda m: m.max_profit_solve([1], [1.0], 3, 1), TypeError),
-], ids=["negative-r", "negative-cost", "short-obj", "float-item"])
+    (lambda m: m.min_cover_levels([2, 1], [1, 1], 0, [2]), ValueError),
+    (lambda m: m.min_cover_levels([-1, 1], [1, 1], 0, [2]), ValueError),
+    (lambda m: m.min_cover_levels([1, 2], [1, -1], 0, [2]), ValueError),
+    (lambda m: m.fptas_levels([-1, 1], [1, 1], 0, [2], 1, 2), ValueError),
+    (lambda m: m.fptas_levels([1, 2], [1, -1], 0, [2], 1, 2), ValueError),
+    (lambda m: m.fptas_levels([1, 2], [1, 1], 0, [2], 0, 2), ValueError),
+    (lambda m: m.min_cover_levels([1, 2], [1], 0, [2]), IndexError),
+    (lambda m: m.fptas_levels([1, 2], [1], 0, [2], 1, 2), IndexError),
+    (lambda m: m.min_cover_levels([1, 2], [1, 1], 0, [2.0]), TypeError),
+    (lambda m: m.fptas_levels([1, 2], [1.0, 1], 0, [2], 1, 2), TypeError),
+    (lambda m: m.min_cover_levels([1], [1], 2**63 - 1, [1]), OverflowError),
+    (lambda m: m.fptas_levels([2**61], [2**60], 0, [5], 1, 7),
+     OverflowError),
+], ids=["negative-r", "negative-cost", "short-obj", "float-item",
+        "levels-unsorted-r", "levels-negative-r", "levels-negative-a",
+        "fptas-negative-r", "fptas-negative-a", "fptas-zero-eps",
+        "levels-short-a", "fptas-short-a", "levels-float-num",
+        "fptas-float-item", "levels-need-overflow", "fptas-int128-range"])
 def test_compiled_kernels_refuse_inputs_outside_their_tables(call, error):
-    # the tables are indexed by r and cost, and sized by len(r)
+    # the tables are indexed by r and cost (and min_cover_levels splits
+    # them at an ascending r), sized by len(r), and the FPTAS's rounding
+    # indexes by values computed in 128 bits
     if not kernels.HAVE_SPEEDUPS:
         pytest.skip("extension not built")
     with pytest.raises(error):
@@ -225,7 +333,9 @@ for call in (lambda: knapdp.solve_exact(inst, [1, 1, 1], budget=10**40),
              lambda: kernels.min_cover_solve([1], [1], L - 1),
              lambda: kernels.min_cover_solve([1], [1], L),
              lambda: kernels.max_profit_solve([1], [1], L - 1, 1),
-             lambda: kernels.max_profit_solve([1], [1], L, 1)):
+             lambda: kernels.max_profit_solve([1], [1], L, 1),
+             lambda: kernels.min_cover_levels([1], [1], 1, [0, L - 2]),
+             lambda: kernels.min_cover_levels([1], [1], 1, [0, L - 1])):
     del fetched[:]
     try:
         call()
@@ -241,7 +351,8 @@ def test_tables_too_large_to_address_raise_memory_error(backend):
     # (n+1)*(need+1) long longs wrap round size_t at need ~ 2**61; run in
     # a subprocess so that a crash fails the test instead of pytest.  The
     # calls are two such tables, then the need and the budget guards of
-    # the dispatch at _LIMIT - 1 and at _LIMIT.
+    # the dispatch at _LIMIT - 1 and at _LIMIT, and the guard on the
+    # largest need of min_cover_levels.
     if backend == "compiled" and not kernels.HAVE_SPEEDUPS:
         pytest.skip("extension not built")
     src = os.path.dirname(os.path.dirname(kernels.__file__))
@@ -253,7 +364,8 @@ def test_tables_too_large_to_address_raise_memory_error(backend):
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     chosen = ["compiled", "compiled", "compiled", "python", "compiled",
-              "python"] if backend == "compiled" else ["python"] * 6
+              "python", "compiled", "python"] if backend == "compiled" \
+        else ["python"] * 8
     assert proc.stdout.splitlines() == [c + " MemoryError" for c in chosen]
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from pitchcut import core, gaplab, knapdp, ratlp, sep
+from pitchcut import core, gaplab, kernels, knapdp, ratlp, sep
 
 F = Fraction
 
@@ -287,27 +287,40 @@ def test_fixed_support_validations():
                                    pitch_limit=0)
 
 
+def _fake_level_kernels(monkeypatch, answer):
+    """Both level-sweep kernels answer answer(r) at every level."""
+    def fake(r, a, base, nums, *eps):
+        return [answer(r)] * len(nums)
+
+    monkeypatch.setattr(kernels, "min_cover_levels", fake)
+    monkeypatch.setattr(kernels, "fptas_levels", fake)
+
+
+PITCH12_MODES = [dict(mode="exact"), dict(mode="fptas", eps=F(1, 10))]
+
+
 def test_pitch12_rejects_a_level_solution_with_no_positive_beta(
         monkeypatch):
     # the empty set leaves beta(I) = 1 - p(all) <= 0
-    monkeypatch.setattr(knapdp, "_level_cover", lambda *args: (0, ()))
-    with pytest.raises(core.VerificationError, match="not positive"):
-        sep.separate_pitch12(worked_instance(), (F(1),) * 4)
+    _fake_level_kernels(monkeypatch, lambda r: (0, ()))
+    for kwargs in PITCH12_MODES:
+        with pytest.raises(core.VerificationError, match="not positive"):
+            sep.separate_pitch12(worked_instance(), (F(1),) * 4, **kwargs)
 
 
 def test_pitch12_rejects_level_solutions_that_cut_nothing(monkeypatch):
     # every item at value 0: the all-ones point satisfies every cut
-    monkeypatch.setattr(knapdp, "_level_cover",
-                        lambda inst, *args: (0, tuple(range(inst.n))))
-    with pytest.raises(core.VerificationError,
-                       match="level-alpha solution of value < 2"):
-        sep.separate_pitch12(worked_instance(), (F(1),) * 4)
-    # unit profits leave the level grid empty, so only the pitch-1
-    # level runs
+    _fake_level_kernels(monkeypatch, lambda r: (0, tuple(range(len(r)))))
     units = core.normalize((F(1),) * 3, (F(1),) * 3, F(1))
-    with pytest.raises(core.VerificationError,
-                       match="no violated pitch-1 cut"):
-        sep.separate_pitch12(units, (F(1),) * 3)
+    for kwargs in PITCH12_MODES:
+        with pytest.raises(core.VerificationError,
+                           match="level-alpha solution of value < 2"):
+            sep.separate_pitch12(worked_instance(), (F(1),) * 4, **kwargs)
+        # unit profits leave the level grid empty, so only the pitch-1
+        # level runs
+        with pytest.raises(core.VerificationError,
+                           match="no violated pitch-1 cut"):
+            sep.separate_pitch12(units, (F(1),) * 3, **kwargs)
 
 
 def test_fixed_support_rejects_a_non_optimal_lp(monkeypatch):
