@@ -139,15 +139,18 @@ def _level_objective(r, a, num):
     return [ai if ri < num else 2 * ai for ri, ai in zip(r, a)]
 
 
-def min_cover_levels(r, a, base, nums):
+def min_cover_levels(r, a, base, nums, cover_dp=min_cover_solve):
     """min_cover_solve at every level num in nums.
 
     Level num minimises the objective a_i, doubled where r_i >= num,
     under the need base + num.  Returns one (value, chosen) per num, as
     min_cover_solve does.  The compiled version shares one table of the
     doubled objective across the levels and needs r ascending.
+    cover_dp runs each level's DP; kernels passes its dispatching
+    min_cover_solve, so inputs too large for the compiled sweep still
+    get compiled DPs at the levels that fit.
     """
-    return [min_cover_solve(r, _level_objective(r, a, num), base + num)
+    return [cover_dp(r, _level_objective(r, a, num), base + num)
             for num in nums]
 
 

@@ -7,7 +7,9 @@ and rounding), otherwise the bignum Python fallbacks in _kernels_py.
 The two implementations share tie-breaking rules, so which one ran is
 unobservable apart from speed.  min_cover_levels and fptas_levels solve
 a whole grid of pitch-2 levels per call; min_cover_levels needs r
-ascending, as core.normalize leaves it.
+ascending, as core.normalize leaves it.  A sweep refused by its guard
+runs its Python twin, which sends each level's DP back through this
+dispatch.
 """
 
 from __future__ import annotations
@@ -74,7 +76,7 @@ def min_cover_levels(r, a, base, nums):
         and max(r, default=0) < _LIMIT
     ):
         return _speedups.min_cover_levels(r, a, base, nums)
-    return _kernels_py.min_cover_levels(r, a, base, nums)
+    return _kernels_py.min_cover_levels(r, a, base, nums, min_cover_solve)
 
 
 def fptas_levels(r, a, base, nums, en, ed):

@@ -262,6 +262,11 @@ _EDGE_IDS = [
 ] + ["kc-no-residual"]
 
 
+# the dispatching single-DP kernel each Python sweep calls per level
+_PER_LEVEL = {"min_cover_levels": "min_cover_solve",
+              "fptas_levels": "max_profit_solve"}
+
+
 @pytest.mark.parametrize("name, args, compiled", _EDGE_CASES, ids=_EDGE_IDS)
 def test_dispatch_at_the_int64_guards(monkeypatch, name, args, compiled):
     if not kernels.HAVE_SPEEDUPS:
@@ -269,13 +274,28 @@ def test_dispatch_at_the_int64_guards(monkeypatch, name, args, compiled):
     spy = _Spy(kernels._speedups)
     monkeypatch.setattr(kernels, "_speedups", spy)
     got = getattr(kernels, name)(*args)
-    # the Python FPTAS sweep runs its DPs through the dispatch, so only
-    # fetches of the kernel under test count
-    assert spy.fetched.count(name) == (1 if compiled else 0)
+    # the Python sweeps run their per-level DPs through the dispatch; no
+    # other fetch is allowed on either side
+    own = [f for f in spy.fetched if compiled or f != _PER_LEVEL.get(name)]
+    assert own == ([name] if compiled else [])
     expected = getattr(_kernels_py, name)(*args)
     assert got == expected
     if compiled:
         assert getattr(spy.module, name)(*args) == expected
+
+
+def test_exact_sweep_fallback_keeps_compiled_levels(monkeypatch):
+    # 2*sum(a)+1 is past the sweep's guard; level 3 doubles nothing, so
+    # its objective fits min_cover_solve's guard, while levels 2 and 1
+    # double a_1 and fall back
+    if not kernels.HAVE_SPEEDUPS:
+        pytest.skip("extension not built")
+    spy = _Spy(kernels._speedups)
+    monkeypatch.setattr(kernels, "_speedups", spy)
+    args = ([1, 2], [1, 2**61], 1, [3, 2, 1])
+    got = kernels.min_cover_levels(*args)
+    assert spy.fetched == ["min_cover_solve"]
+    assert got == _kernels_py.min_cover_levels(*args)
 
 
 @pytest.mark.parametrize("call, error", [
@@ -334,8 +354,8 @@ for call in (lambda: knapdp.solve_exact(inst, [1, 1, 1], budget=10**40),
              lambda: kernels.min_cover_solve([1], [1], L),
              lambda: kernels.max_profit_solve([1], [1], L - 1, 1),
              lambda: kernels.max_profit_solve([1], [1], L, 1),
-             lambda: kernels.min_cover_levels([1], [1], 1, [0, L - 2]),
-             lambda: kernels.min_cover_levels([1], [1], 1, [0, L - 1])):
+             lambda: kernels.min_cover_levels([1], [1], 1, [L - 2]),
+             lambda: kernels.min_cover_levels([1], [1], 1, [L - 1])):
     del fetched[:]
     try:
         call()
